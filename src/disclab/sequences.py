@@ -358,7 +358,8 @@ def _generate_disjoint_boxes(params: dict, seed: int) -> Sequence:
         pts.append(DiscPoint(2.0 * math.pi * ok_angle, float(depth)))
     seq = Sequence(tuple(pts), f"disjoint_boxes(n={count}, eta={exponent})")
     for i in range(count):
-        assert not vicinity(seq, i, exponent), "generator produced overlapping boxes"
+        if vicinity(seq, i, exponent):
+            raise InputError(f"disjoint_boxes produced overlapping boxes at point #{i}")
     return seq
 
 

@@ -10,10 +10,12 @@ comb construction and its closed form drive the union counterexample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
 
 from . import geometry
 from .errors import DomainError, NumericalError
@@ -33,7 +35,7 @@ class TreeNode:
     k: int
 
     def __post_init__(self):
-        if self.n < 0 or not 1 <= self.k <= 2**self.n:
+        if self.n < 0 or self.k < 1 or (self.k - 1) >> self.n:
             raise DomainError(f"invalid tree node (n={self.n}, k={self.k})")
 
     @property
@@ -89,15 +91,6 @@ class TreeNode:
 ROOT = TreeNode(0, 1)
 
 
-def tree_structure(node: TreeNode) -> dict:
-    return {
-        "level": node.n,
-        "parent": node.parent() if node.n > 0 else None,
-        "children": (node.child_plus(), node.child_minus()),
-        "path_to_root": node.path_to_root(),
-    }
-
-
 @dataclass(frozen=True)
 class TreeCondenser:
     source: TreeNode
@@ -113,47 +106,45 @@ class TreeCondenser:
 
 
 def _lca(a: TreeNode, b: TreeNode) -> TreeNode:
+    # at the shallower level the shared dyadic prefix ends at the highest differing bit
     m = min(a.n, b.n)
-    a, b = a.ancestor_at(m), b.ancestor_at(m)
-    # lift both until the dyadic prefixes agree; binary search on the level
-    lo, hi = 0, m
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a.ancestor_at(mid) == b.ancestor_at(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return a.ancestor_at(lo)
+    x, y = (a.k - 1) >> (a.n - m), (b.k - 1) >> (b.n - m)
+    s = (x ^ y).bit_length()
+    return TreeNode(m - s, (x >> s) + 1)
 
 
 def _virtual_tree(cond: TreeCondenser):
-    """Chain-compressed union of source-to-target paths.
+    """Chain-compressed union of source-to-target paths, in dyadic DFS order.
 
-    Returns (nodes, parent_of, edge_length, target_set); interior
-    degree-2 chain nodes are folded into integer edge lengths, which is
+    Returns (parent, length, is_target) as lists over the kept nodes:
+    the source (index 0, parent -1), the distinct targets and the LCAs of
+    DFS-adjacent targets.  Every other node has parent[i] < i and hangs
+    length[i] unit edges below it; the folded degree-2 chain nodes are
     exact for unit resistors.
     """
-    src = cond.source
-    targets = sorted(set(cond.targets), key=lambda t: (Fraction(t.k - 1, 2**t.n), t.n))
-    keep = {src}
-    keep.update(targets)
-    for a, b in zip(targets, targets[1:]):
-        anc = _lca(a, b)
-        keep.add(anc if anc.is_below(src) else src)
-    nodes = sorted(keep, key=lambda t: t.n)
-    parent_of, edge_len = {}, {}
-    for node in nodes:
-        if node == src:
-            continue
-        best = None
-        for other in nodes:
-            if other is node or node.n <= other.n:
-                continue
-            if node.is_below(other) and (best is None or other.n > best.n):
-                best = other
-        parent_of[node] = best
-        edge_len[node] = node.n - best.n
-    return nodes, parent_of, edge_len, set(targets)
+    depth = max(t.n for t in cond.targets)
+
+    def dfs_key(t: TreeNode):
+        # left end of the dyadic arc at the deepest level, ancestors first
+        return ((t.k - 1) << (depth - t.n), t.n)
+
+    targets = sorted(set(cond.targets), key=dfs_key)
+    lcas = (_lca(a, b) for a, b in zip(targets, targets[1:]))
+    # the source is an ancestor of every kept node, so it sorts first
+    nodes = sorted({cond.source, *targets, *lcas}, key=dfs_key)
+    parent, length, stack = [-1], [0], [0]
+    for i, node in enumerate(nodes[1:], start=1):
+        # pop the stack down to the deepest kept ancestor of node
+        while True:
+            top = nodes[stack[-1]]
+            if top.n < node.n and (node.k - 1) >> (node.n - top.n) == top.k - 1:
+                break
+            stack.pop()
+        parent.append(stack[-1])
+        length.append(node.n - top.n)
+        stack.append(i)
+    target_set = set(targets)
+    return parent, length, [node in target_set for node in nodes]
 
 
 def tree_capacity_recursive(cond: TreeCondenser) -> float:
@@ -162,89 +153,65 @@ def tree_capacity_recursive(cond: TreeCondenser) -> float:
     A subtree of conductance c seen across a chain of d unit edges
     contributes c/(1 + d c); sibling conductances add.
     """
-    nodes, parent_of, edge_len, targets = _virtual_tree(cond)
-    g: dict[TreeNode, float] = {}
-    for node in sorted(nodes, key=lambda t: -t.n):
-        if node == cond.source:
-            continue
-        if node in targets:
-            sub = math.inf
-        else:
-            sub = sum(g.get(c, 0.0) for c in nodes if parent_of.get(c) is node)
-        d = edge_len[node]
-        g[node] = 1.0 / d if math.isinf(sub) else sub / (1.0 + d * sub)
-    return sum(g[c] for c in nodes if parent_of.get(c) is cond.source)
+    parent, length, is_target = _virtual_tree(cond)
+    sub = [0.0] * len(parent)
+    for i in range(len(parent) - 1, 0, -1):
+        d = length[i]
+        sub[parent[i]] += 1.0 / d if is_target[i] else sub[i] / (1.0 + d * sub[i])
+    return sub[0]
 
 
-def tree_capacity_exact(cond: TreeCondenser, max_dense_nodes: int = 2000) -> float:
+def tree_capacity_exact(cond: TreeCondenser) -> float:
     """Capacity via the grounded-Laplacian linear system.
 
-    Solves the harmonic extension on the path union (full node set when
-    small, chain-compressed with exact resistances otherwise) and
-    returns its Dirichlet energy.
+    Solves the harmonic extension on the chain-compressed virtual tree
+    (edge conductance 1/length) by sparse LU and returns its Dirichlet
+    energy.
     """
-    size = path_union_size(cond)
-    if size <= max_dense_nodes:
-        nodes, parent_of, edge_len, targets = _full_path_union(cond)
-    else:
-        nodes, parent_of, edge_len, targets = _virtual_tree(cond)
-    idx = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    lap = np.zeros((n, n))
-    for node, par in parent_of.items():
-        gcond = 1.0 / edge_len[node]
-        i, j = idx[node], idx[par]
-        lap[i, i] += gcond
-        lap[j, j] += gcond
-        lap[i, j] -= gcond
-        lap[j, i] -= gcond
-    fixed = np.zeros(n, dtype=bool)
+    parent, length, is_target = _virtual_tree(cond)
+    n = len(parent)
+    child = np.arange(1, n)
+    par = np.array(parent[1:])
+    gcond = 1.0 / np.array(length[1:], dtype=float)
+    lap = scipy.sparse.coo_matrix(
+        (
+            np.concatenate([gcond, gcond, -gcond, -gcond]),
+            (np.concatenate([child, par, child, par]), np.concatenate([child, par, par, child])),
+        ),
+        shape=(n, n),
+    ).tocsr()
+    fixed = np.array(is_target)
+    fixed[0] = True
     vals = np.zeros(n)
-    fixed[idx[cond.source]] = True
-    vals[idx[cond.source]] = 1.0
-    for t in targets:
-        fixed[idx[t]] = True
+    vals[0] = 1.0
     free = ~fixed
     if free.any():
-        a = lap[np.ix_(free, free)]
-        b = -lap[np.ix_(free, fixed)] @ vals[fixed]
+        rows = lap[free]
+        a = rows[:, free].tocsc()
+        b = -(rows[:, fixed] @ vals[fixed])
         try:
-            vals[free] = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as exc:
+            vals[free] = scipy.sparse.linalg.splu(a).solve(b)
+        except RuntimeError as exc:
             raise NumericalError(f"tree system singular: {exc}") from exc
-    energy = 0.0
-    for node, par in parent_of.items():
-        d = vals[idx[node]] - vals[idx[par]]
-        energy += d * d / edge_len[node]
-    return energy
-
-
-def _full_path_union(cond: TreeCondenser):
-    parent_of, edge_len = {}, {}
-    keep = {cond.source}
-    for t in cond.targets:
-        node = t
-        while node not in keep:
-            keep.add(node)
-            par = node.parent()
-            parent_of[node] = par
-            edge_len[node] = 1
-            node = par
-    return list(keep), parent_of, edge_len, set(cond.targets)
+    diff = vals[child] - vals[par]
+    return float(np.sum(diff * diff * gcond))
 
 
 def path_union_size(cond: TreeCondenser) -> int:
-    seen = {cond.source}
-    for t in cond.targets:
-        node = t
-        while node not in seen:
-            seen.add(node)
-            node = node.parent()
-    return len(seen)
+    """Number of nodes on the source-to-target paths, source included."""
+    _, length, _ = _virtual_tree(cond)
+    return 1 + sum(length)
 
 
 # ---------------------------------------------------------------------------
 # comb construction
+
+
+def _comb_size(big_n: int, minimum: int = 4, name: str = "N") -> int:
+    """m = sqrt(N), for N a perfect square >= minimum."""
+    if big_n < minimum or math.isqrt(big_n) ** 2 != big_n:
+        raise DomainError(f"{name} must be a perfect square >= {minimum}, got {big_n}")
+    return math.isqrt(big_n)
 
 
 @dataclass(frozen=True)
@@ -254,9 +221,7 @@ class CombSpec:
     anchor: TreeNode
 
     def __post_init__(self):
-        m = math.isqrt(self.anchor.n)
-        if m * m != self.anchor.n or self.anchor.n < 4:
-            raise DomainError(f"anchor level must be a perfect square >= 4, got {self.anchor.n}")
+        _comb_size(self.anchor.n, name="anchor level")
 
     @property
     def big_n(self) -> int:
@@ -273,13 +238,8 @@ class CombSpec:
         return out
 
     def teeth(self) -> list[TreeNode]:
-        out = []
-        for w in self.spine()[1:]:
-            node = w
-            for _ in range(self.big_n):
-                node = node.child_minus()
-            out.append(node)
-        return out
+        # N child_minus steps below w = (n, k) reach (n + N, 2^N (k - 1) + 1)
+        return [TreeNode(w.n + self.big_n, ((w.k - 1) << self.big_n) + 1) for w in self.spine()[1:]]
 
     def condenser(self) -> TreeCondenser:
         return TreeCondenser(self.anchor, tuple(self.teeth()))
@@ -293,9 +253,7 @@ def default_anchor(big_n: int, angle_numerator: int = 0) -> TreeNode:
 
 def comb_capacity_recursive(big_n: int) -> float:
     """The scalar fold c_{i-1} = (1/N + c_i)/(1 + 1/N + c_i) down the spine."""
-    m = math.isqrt(big_n)
-    if m * m != big_n or big_n < 4:
-        raise DomainError(f"N must be a perfect square >= 4, got {big_n}")
+    m = _comb_size(big_n)
     c = 0.0
     for _ in range(m):
         c = (1.0 / big_n + c) / (1.0 + 1.0 / big_n + c)
@@ -304,9 +262,7 @@ def comb_capacity_recursive(big_n: int) -> float:
 
 def comb_capacity_closed_form(big_n: int) -> float:
     """Closed form from diagonalizing the 2x2 transfer matrix of the fold."""
-    m = math.isqrt(big_n)
-    if m * m != big_n or big_n < 4:
-        raise DomainError(f"N must be a perfect square >= 4, got {big_n}")
+    m = _comb_size(big_n)
     x = 1.0 / big_n
     root = math.sqrt(x * x + 4.0 * x)
     d1 = 0.5 * (-x + root)
@@ -348,9 +304,7 @@ def comb_lower_bound_check(n_values) -> dict:
     worst = math.inf
     records = []
     for big_n in n_values:
-        m = math.isqrt(big_n)
-        if m * m != big_n or big_n < 16:
-            raise DomainError(f"N must be a perfect square >= 16, got {big_n}")
+        m = _comb_size(big_n, minimum=16)
         val = comb_capacity_recursive(big_n) * m
         records.append({"N": big_n, "c0_sqrtN": val})
         worst = min(worst, val)

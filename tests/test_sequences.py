@@ -231,6 +231,11 @@ class TestGenerators:
         with pytest.raises(InputError):
             sequences.generate("spiral", {})
 
+    def test_disjoint_boxes_overlap_raises(self, monkeypatch):
+        monkeypatch.setattr(sequences, "vicinity", lambda seq, i, gamma: [i + 1])
+        with pytest.raises(InputError, match="overlapping boxes at point #0"):
+            sequences.generate("disjoint_boxes", {"count": 3}, seed=0)
+
 
 @pytest.fixture(scope="module")
 def setup():

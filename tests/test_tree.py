@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from disclab import geometry, sequences, tree
-from disclab.errors import DomainError, InputError
+from disclab.errors import DomainError, InputError, NumericalError
 from disclab.tree import ROOT, CombSpec, TreeCondenser, TreeNode
+from tree_oracle import dense_capacity, path_union_size_walk
 
 
 def random_node(rng, max_level=12):
@@ -26,10 +27,33 @@ def random_condenser(rng, max_targets=8, max_drop=12):
     return TreeCondenser(source, tuple(targets))
 
 
+def descend(node, steps):
+    for plus in steps:
+        node = node.child_plus() if plus else node.child_minus()
+    return node
+
+
+@st.composite
+def condensers(draw):
+    """Sources from the root down past level 1000; targets may repeat or nest."""
+    n = draw(st.sampled_from([0, 1, 7, 40, 1003]))
+    source = TreeNode(n, draw(st.integers(1, 2**n)))
+    targets = []
+    for _ in range(draw(st.integers(1, 6))):
+        if targets and draw(st.booleans()):
+            # zero steps repeats a target, more nest one below it
+            base = draw(st.sampled_from(targets))
+            targets.append(descend(base, draw(st.lists(st.booleans(), max_size=8))))
+        else:
+            targets.append(descend(source, draw(st.lists(st.booleans(), min_size=1, max_size=12))))
+    return TreeCondenser(source, tuple(targets))
+
+
 class TestStructure:
     def test_children_of_root(self):
-        kids = tree.tree_structure(ROOT)["children"]
+        kids = (ROOT.child_plus(), ROOT.child_minus())
         assert {(c.n, c.k) for c in kids} == {(1, 1), (1, 2)}
+        assert all(c.parent() == ROOT for c in kids)
 
     @given(st.integers(0, 30), st.data())
     def test_parent_child_roundtrip(self, n, data):
@@ -45,6 +69,16 @@ class TestStructure:
     def test_invalid_index(self):
         with pytest.raises(DomainError):
             TreeNode(2, 5)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 64, 3700])
+    def test_index_range_edges(self, n):
+        assert TreeNode(n, 1).k == 1
+        assert TreeNode(n, 2**n).k == 2**n
+        for k in (0, -1, 2**n + 1):
+            with pytest.raises(DomainError):
+                TreeNode(n, k)
+        with pytest.raises(DomainError):
+            TreeNode(-1, 1)
 
     def test_ancestor_and_is_below(self):
         node = TreeNode(6, 37)
@@ -149,9 +183,26 @@ class TestCapacitySolvers:
 
     def test_compressed_solver_matches_dense(self):
         cond = CombSpec(tree.default_anchor(49)).condenser()
-        dense = tree.tree_capacity_exact(cond, max_dense_nodes=10**6)
-        compressed = tree.tree_capacity_exact(cond, max_dense_nodes=10)
-        assert abs(dense - compressed) <= 1e-10
+        assert abs(dense_capacity(cond) - tree.tree_capacity_exact(cond)) <= 1e-10
+
+    @given(condensers())
+    @example(TreeCondenser(ROOT, (TreeNode(3, 2),)))
+    @example(TreeCondenser(ROOT, (TreeNode(2, 1), TreeNode(2, 1), TreeNode(4, 1), TreeNode(3, 8))))
+    @example(TreeCondenser(TreeNode(1000, 5), (TreeNode(1004, 65), TreeNode(1009, 2085))))
+    def test_virtual_tree_matches_full_path_union(self, cond):
+        assert tree.path_union_size(cond) == path_union_size_walk(cond)
+        exact = tree.tree_capacity_exact(cond)
+        assert abs(exact - dense_capacity(cond)) <= 1e-10
+        assert abs(exact - tree.tree_capacity_recursive(cond)) <= 1e-10
+
+    def test_singular_factor_raises_numerical_error(self, monkeypatch):
+        def singular(a):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(tree.scipy.sparse.linalg, "splu", singular)
+        cond = CombSpec(tree.default_anchor(4)).condenser()
+        with pytest.raises(NumericalError, match="singular"):
+            tree.tree_capacity_exact(cond)
 
     def test_target_above_source_rejected(self):
         with pytest.raises(DomainError):
@@ -197,6 +248,7 @@ class TestComb:
         teeth = spec.teeth()
         assert len(teeth) == 4
         assert all(t.n == 16 + i + 16 for i, t in enumerate(teeth, start=1))
+        assert teeth == [descend(w, [False] * 16) for w in spec.spine()[1:]]
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(DomainError):
@@ -214,6 +266,13 @@ class TestComb:
     def test_exact_solver_agrees_on_comb(self):
         cond = CombSpec(tree.default_anchor(4)).condenser()
         assert tree.tree_capacity_exact(cond) == pytest.approx(0.310345, abs=1e-6)
+
+    def test_sweep_with_exact_up_to_n3600(self):
+        rows = tree.comb_sweep(range(2, 61), with_exact=True)
+        assert [row.big_n for row in rows] == [m * m for m in range(2, 61)]
+        for row in rows:
+            assert abs(row.exact_solver - row.c0) <= 1e-10
+            assert abs(row.closed_form - row.c0) <= 1e-10
 
 
 class TestDistanceCheck:

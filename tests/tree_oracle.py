@@ -1,0 +1,53 @@
+"""Independent references for the tree condenser solvers.
+
+The full path union is built by walking every target up to the source
+one parent at a time, and the grounded Laplacian on it is solved densely
+with unit conductances.  Nothing is compressed, so these share no code
+with the virtual tree that the library folds and solves on.
+"""
+
+import numpy as np
+
+from disclab.tree import TreeCondenser
+
+
+def path_union(cond: TreeCondenser):
+    """Parent map of the full source-to-target path union."""
+    parent_of = {}
+    seen = {cond.source}
+    for t in cond.targets:
+        node = t
+        while node not in seen:
+            seen.add(node)
+            parent_of[node] = node.parent()
+            node = parent_of[node]
+    return parent_of
+
+
+def path_union_size_walk(cond: TreeCondenser) -> int:
+    return 1 + len(path_union(cond))
+
+
+def dense_capacity(cond: TreeCondenser) -> float:
+    """Dirichlet energy of the harmonic extension on the full path union."""
+    parent_of = path_union(cond)
+    nodes = [cond.source, *parent_of]
+    idx = {node: i for i, node in enumerate(nodes)}
+    n = len(nodes)
+    lap = np.zeros((n, n))
+    for node, par in parent_of.items():
+        i, j = idx[node], idx[par]
+        lap[i, i] += 1.0
+        lap[j, j] += 1.0
+        lap[i, j] -= 1.0
+        lap[j, i] -= 1.0
+    fixed = np.zeros(n, dtype=bool)
+    vals = np.zeros(n)
+    fixed[0] = True
+    vals[0] = 1.0
+    for t in cond.targets:
+        fixed[idx[t]] = True
+    free = ~fixed
+    if free.any():
+        vals[free] = np.linalg.solve(lap[np.ix_(free, free)], -lap[np.ix_(free, fixed)] @ vals[fixed])
+    return sum((vals[idx[node]] - vals[idx[par]]) ** 2 for node, par in parent_of.items())
