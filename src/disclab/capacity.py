@@ -15,8 +15,9 @@ single arcs (frozen constants below).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -58,18 +59,28 @@ class CondenserResult:
     warnings: tuple = ()
 
 
-def _arc_nodes(arc: Arc, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature angles on one arc plus cell widths (radians).
+@functools.cache
+def _unit_arc_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [0, 1] and their cell widths, built once per node count.
 
-    The t = sin^2 substitution clusters nodes at the endpoints like the
-    inverse-square-root blow-up of the equilibrium density.
+    The t = sin^2 substitution of the Gauss-Legendre nodes clusters them
+    at the endpoints like the inverse-square-root blow-up of the
+    equilibrium density.  The arrays are shared, so they are read-only.
     """
     x = np.polynomial.legendre.leggauss(n)[0]
     tau = 0.5 * (x + 1.0)
     t = np.sin(0.5 * math.pi * tau) ** 2
-    bounds = np.concatenate(([0.0], 0.5 * (t[1:] + t[:-1]), [1.0]))
+    cells = np.diff(np.concatenate(([0.0], 0.5 * (t[1:] + t[:-1]), [1.0])))
+    t.flags.writeable = False
+    cells.flags.writeable = False
+    return t, cells
+
+
+def _arc_nodes(arc: Arc, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature angles on one arc plus cell widths (radians)."""
+    t, cells = _unit_arc_nodes(n)
     span = 2.0 * arc.half_width
-    return arc.start + t * span, np.diff(bounds) * span
+    return arc.start + t * span, cells * span
 
 
 def _energy_matrix(angles: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -145,7 +156,7 @@ def equilibrium_measure(arcs: list[Arc], quad_nodes_per_arc: int = 24) -> Equili
 
 def log_capacity(arcs: list[Arc], quad_nodes_per_arc: int = 24) -> float:
     """C(E) = cap_D(Delta_1(0), E) for a finite union of arcs; 0 if empty."""
-    arcs = geometry.merge_arcs(list(arcs))
+    arcs = list(arcs)
     if not arcs:
         return 0.0
     mu = equilibrium_measure(arcs, quad_nodes_per_arc)

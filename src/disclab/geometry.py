@@ -8,13 +8,18 @@ Points are stored as (theta, depth) with depth = 1 - |z|.  This keeps
 points that are exponentially close to the boundary (depth ~ 2^-800)
 representable, which cartesian coordinates cannot do; all pairwise
 formulas route through a cancellation-free evaluation of 1 - w*conj(z).
+PointSet holds many points as arrays and evaluates the same formulas
+elementwise; the scalar functions are its reference.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, InputError
 
@@ -22,6 +27,10 @@ TWO_PI = 2.0 * math.pi
 
 # |w*conj(z)| below which the kernel power series replaces the log formula
 _KERNEL_SERIES_CUTOFF = 1e-4
+
+# Angular slack of the arc sweeps: far above the rounding of angle sums
+# below 6*pi (~1e-15), so no pair the exact test accepts is missed.
+_SWEEP_SLACK = 1e-12
 
 
 def _wrap_angle(t: float) -> float:
@@ -38,6 +47,18 @@ def _signed_angle(t: float) -> float:
     elif t <= -math.pi:
         t += TWO_PI
     return t
+
+
+def _wrap_angles(t: np.ndarray) -> np.ndarray:
+    """_wrap_angle elementwise."""
+    t = np.fmod(t, TWO_PI)
+    return np.where(t < 0, t + TWO_PI, t)
+
+
+def _signed_angles(t: np.ndarray) -> np.ndarray:
+    """_signed_angle elementwise."""
+    t = np.fmod(t, TWO_PI)
+    return np.where(t > math.pi, t - TWO_PI, np.where(t <= -math.pi, t + TWO_PI, t))
 
 
 @dataclass(frozen=True)
@@ -94,6 +115,103 @@ class DiscPoint:
 
 
 ORIGIN = DiscPoint(0.0, 1.0)
+
+
+@dataclass(frozen=True, eq=False)
+class PointSet:
+    """Points of the open disc as theta and depth arrays.
+
+    The arrays broadcast against each other and against another
+    PointSet's, so ``pts[rows, None].kernel(pts)`` evaluates a block of
+    pairs.  Each method follows the algebra and the branches of the
+    scalar function of the same name, which stays as its test reference;
+    they agree to a few ulps, not exactly, as numpy's exp, log and hypot are not
+    the C library's.
+    """
+
+    theta: np.ndarray
+    depth: np.ndarray
+
+    @classmethod
+    def from_points(cls, points) -> "PointSet":
+        return cls(
+            np.array([p.theta for p in points], dtype=float),
+            np.array([p.depth for p in points], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.theta)
+
+    def __getitem__(self, idx) -> "PointSet":
+        out = PointSet(self.theta[idx], self.depth[idx])
+        if "norm_sq" in self.__dict__:
+            out.__dict__["norm_sq"] = self.norm_sq[idx]
+        return out
+
+    @functools.cached_property
+    def norm_sq(self) -> np.ndarray:
+        """kernel_norm_sq of each point, from the scalar function.
+
+        Its log sum cancels near the origin, where numpy's log would move
+        the result by tens of ulps; this is O(n) work per point set.
+        """
+        norms = [kernel_norm_sq(DiscPoint(0.0, d)) for d in self.depth.ravel().tolist()]
+        return np.array(norms, dtype=float).reshape(self.depth.shape)
+
+    def points(self) -> list[DiscPoint]:
+        return [DiscPoint(t, d) for t, d in zip(self.theta.ravel().tolist(), self.depth.ravel().tolist())]
+
+    def one_minus_conj_prod(self, other: "PointSet") -> np.ndarray:
+        """1 - conj(z)*w for z in self and w in other."""
+        delta = other.theta - self.theta
+        s = self.depth + other.depth - self.depth * other.depth
+        # in real arithmetic, operation for operation as Python evaluates the
+        # complex expression: near the kernel's series cutoff its log turns
+        # an ulp here into thousands in the kernel
+        hc, hs = np.cos(0.5 * delta), np.sin(0.5 * delta)
+        sc, ss = s * hc, s * hs
+        return (2.0 * hs * hs + (sc * hc - ss * hs)) + 1j * (-2.0 * hs * hc + (sc * hs + ss * hc))
+
+    def _diff(self, other: "PointSet") -> np.ndarray:
+        """z - w for z in self and w in other."""
+        half = np.exp(0.5j * (self.theta + other.theta))
+        rot = 2j * np.sin(0.5 * (self.theta - other.theta)) * half
+        return rot + other.depth * np.exp(1j * other.theta) - self.depth * np.exp(1j * self.theta)
+
+    def mobius(self, other: "PointSet") -> "PointSet":
+        """phi_z(w) for z in self and w in other."""
+        num = self._diff(other)
+        den = self.one_minus_conj_prod(other)
+        a = np.abs(den)
+        rho = np.abs(num) / a
+        t = (self.depth * (2.0 - self.depth) / a) * (other.depth * (2.0 - other.depth) / a)
+        t = np.minimum(np.maximum(t, 5e-324), 1.0)
+        depth = np.where(rho < 0.5, 1.0 - rho, t / (1.0 + np.sqrt(1.0 - t)))
+        theta = _wrap_angles(np.where(rho == 0.0, 0.0, np.angle(num / den)))
+        if not np.all(depth > 0.0):
+            # the clamped depth can round to 0, where the scalar map's DiscPoint refuses it
+            k = np.flatnonzero(~(depth > 0.0))[0]
+            raise DomainError(f"point not in open disc: theta={theta.flat[k]}, depth={depth.flat[k]}")
+        return PointSet(theta, depth)
+
+    def kernel(self, other: "PointSet") -> np.ndarray:
+        """k(w, z) for w in self and z in other."""
+        q = (1.0 - self.depth) * (1.0 - other.depth) * np.exp(1j * (self.theta - other.theta))
+        series = 1.0 + q * (0.5 + q * (1.0 / 3.0 + q * 0.25))
+        with np.errstate(divide="ignore", invalid="ignore"):  # q == 0 takes the series
+            closed = -np.log(other.one_minus_conj_prod(self)) / q
+        return np.where(np.abs(q) < _KERNEL_SERIES_CUTOFF, series, closed)
+
+    def dirichlet_metric(self, other: "PointSet") -> np.ndarray:
+        g = np.abs(self.kernel(other)) ** 2 / (self.norm_sq * other.norm_sq)
+        metric = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(g, 1.0)))
+        same = (self.theta == other.theta) & (self.depth == other.depth)
+        return np.where(same, 0.0, metric)
+
+    def hyperbolic_distance(self, other: "PointSet") -> np.ndarray:
+        m = self.mobius(other)
+        with np.errstate(over="ignore"):  # inf past depth ~1e-308, as for Python floats
+            return 0.5 * np.log((2.0 - m.depth) / m.depth)
 
 
 def point_to_json(p: DiscPoint) -> dict:
@@ -270,6 +388,92 @@ def merge_arcs(arcs: list[Arc]) -> list[Arc]:
     return merged
 
 
+def _unrolled(center: np.ndarray, half_width: np.ndarray):
+    """Arc extents on the line, sorted by start, as (start, end, arc index).
+
+    Each arc appears at its center in [0, 2*pi), and once more a turn up
+    when that copy can reach another arc, so every pair that meets on
+    the circle overlaps as a pair of extents.
+    """
+    start = center - half_width
+    end = center + half_width
+    up = np.flatnonzero(start + TWO_PI <= end.max() + _SWEEP_SLACK)
+    arc = np.concatenate([np.arange(len(center)), up])
+    start = np.concatenate([start, start[up] + TWO_PI])
+    end = np.concatenate([end, end[up] + TWO_PI])
+    order = np.argsort(start, kind="stable")
+    return start[order], end[order], arc[order]
+
+
+def _arcs_meet(center, half_width, i, j) -> np.ndarray:
+    """Arc.intersects for the index pairs (i, j), with its float expression."""
+    return np.abs(_signed_angles(center[j] - center[i])) <= half_width[i] + half_width[j]
+
+
+def intersecting_arc_pairs(center: np.ndarray, half_width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of the arcs that meet, in ascending order.
+
+    center and half_width are as Arc stores them.  A sort-and-sweep over
+    the unrolled extents proposes the pairs whose extents overlap, in
+    O(k log k + proposals); each is confirmed with the float test of
+    Arc.intersects, so the pairs are those that testing all k^2 gives.
+    """
+    k = len(center)
+    if k < 2:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    start, end, arc = _unrolled(center, half_width)
+    # extent t overlaps the later extents t+1 .. stop[t]-1, which start before it ends
+    stop = np.searchsorted(start, end + _SWEEP_SLACK, side="right")
+    first = np.arange(1, len(start) + 1)
+    count = np.maximum(stop - first, 0)
+    a = np.repeat(np.arange(len(start)), count)
+    b = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)
+    i, j = arc[a], arc[b]
+    keep = i != j
+    lo, hi = np.divmod(np.unique(np.minimum(i, j)[keep] * k + np.maximum(i, j)[keep]), k)
+    hit = _arcs_meet(center, half_width, lo, hi)
+    return lo[hit], hi[hit]
+
+
+def _meeting_groups(center: np.ndarray, half_width: np.ndarray) -> list[int]:
+    """A group label for each arc: the classes of transitive Arc.intersects.
+
+    One sweep over the unrolled extents: an extent joins the running
+    cluster when it overlaps the furthest-reaching earlier extent by more
+    than the slack, where the float test is sure to pass, and opens a new
+    cluster when it starts beyond that reach.  A cluster with an overlap
+    too thin to call that way is settled by testing all its pairs.
+    """
+    k = len(center)
+    start, end, arc = _unrolled(center, half_width)
+    reach = np.maximum.accumulate(end)
+    front = np.maximum.accumulate(np.where(end == reach, np.arange(len(end)), 0))
+    gap = start[1:] - reach[:-1]
+    overlap = np.minimum(-gap, start[1:] - start[front[:-1]] + 2.0 * half_width[arc[1:]])
+    cluster = np.concatenate(([0], np.cumsum(gap > _SWEEP_SLACK)))
+    unsure = np.zeros(cluster[-1] + 1, dtype=bool)
+    unsure[cluster[1:][(gap <= _SWEEP_SLACK) & (overlap < _SWEEP_SLACK)]] = True
+    head = arc[np.searchsorted(cluster, cluster)]
+
+    group = list(range(k))
+
+    def find(i):
+        while group[i] != i:
+            group[i] = group[group[i]]
+            i = group[i]
+        return i
+
+    for i, j in zip(arc[~unsure[cluster]].tolist(), head[~unsure[cluster]].tolist()):
+        group[find(i)] = find(j)
+    for c in np.flatnonzero(unsure):
+        members = np.unique(arc[cluster == c])
+        i, j = np.triu_indices(len(members), 1)
+        hit = _arcs_meet(center, half_width, members[i], members[j])
+        for a, b in zip(members[i][hit].tolist(), members[j][hit].tolist()):
+            group[find(a)] = find(b)
+    return [find(i) for i in range(k)]
+
+
 def _merge_intervals(arcs: list[Arc]) -> list[Arc]:
     """Merge by transitive overlap; singleton groups pass through untouched.
 
@@ -279,22 +483,12 @@ def _merge_intervals(arcs: list[Arc]) -> list[Arc]:
     """
     if any(a.is_full_circle() for a in arcs):
         return [Arc(0.0, 1.0)]
-    n = len(arcs)
-    group = list(range(n))
-
-    def find(i):
-        while group[i] != i:
-            group[i] = group[group[i]]
-            i = group[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if arcs[i].intersects(arcs[j]):
-                group[find(i)] = find(j)
+    groups = _meeting_groups(
+        np.array([a.center_angle for a in arcs]), np.array([a.half_width for a in arcs])
+    )
     clusters: dict[int, list[Arc]] = {}
-    for i, a in enumerate(arcs):
-        clusters.setdefault(find(i), []).append(a)
+    for g, a in zip(groups, arcs):
+        clusters.setdefault(g, []).append(a)
     out = []
     for members in clusters.values():
         if len(members) == 1:
@@ -366,6 +560,19 @@ class CarlesonBox:
             self.base_arc.contains_arc(other.base_arc)
             and self.inner_radius <= other.inner_radius * (1 + 1e-12)
         )
+
+
+def boxes_contain(outer_center, outer_length, outer_radius, center, length, radius) -> np.ndarray:
+    """CarlesonBox.contains_box elementwise, with its float expressions.
+
+    Each box is given by its base arc (center angle, length) and inner
+    radius; the arrays broadcast.
+    """
+    gap = np.abs(_signed_angles(center - outer_center))
+    arc_in = (outer_length >= 1.0) | (
+        (length < 1.0) & (gap + math.pi * length <= math.pi * outer_length * (1 + 1e-12) + 1e-14)
+    )
+    return arc_in & (outer_radius <= radius * (1 + 1e-12))
 
 
 def carleson_box(z: DiscPoint) -> CarlesonBox:

@@ -1,4 +1,4 @@
-"""Shared numerical plumbing: quadrature, SPD solves, adaptive integration.
+"""Shared numerical plumbing: SPD solves and adaptive integration.
 
 Deterministic, dense, desk-scale.  Larger sparse systems live with the
 grid solver in the capacity module.
@@ -12,20 +12,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DomainError, NumericalError
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-def gauss_legendre(n: int) -> QuadratureRule:
-    """Standard Gauss-Legendre rule on (-1, 1); exact for degree 2n-1."""
-    if not 2 <= n <= 512:
-        raise DomainError(f"quadrature size out of [2, 512]: {n}")
-    x, w = np.polynomial.legendre.leggauss(n)
-    return QuadratureRule(x, w)
 
 
 @dataclass

@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,9 @@ DEFAULT_BETA = 0.5
 DEFAULT_DELTA = 0.1
 COMPARABILITY_BUDGET = 64.0
 NORMALIZED_NORM_FLOOR = 100.0
+
+# rows per numpy block of the pairwise checks; memory stays O(n * block)
+_PAIR_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -41,16 +44,26 @@ class Sequence:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "_vicinity_cache", {})
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @property
+    def pointset(self) -> geometry.PointSet:
+        """The points as arrays, for the pairwise checks."""
+        cached = getattr(self, "_pointset", None)
+        if cached is None:
+            cached = geometry.PointSet.from_points(self.points)
+            object.__setattr__(self, "_pointset", cached)
+        return cached
 
     @property
     def norms(self) -> tuple:
         """Kernel norms d(z_i); the weights of the associated measure."""
         cached = getattr(self, "_norms", None)
         if cached is None:
-            cached = tuple(geometry.kernel_norm_sq(p) for p in self.points)
+            cached = tuple(self.pointset.norm_sq.tolist())
             object.__setattr__(self, "_norms", cached)
         return cached
 
@@ -124,66 +137,119 @@ def _finish(name, records, params, budget, warnings=()):
     return CheckReport(name, records, sup, witness, sup <= budget, params, tuple(warnings))
 
 
+@dataclass(frozen=True)
+class _Vicinities:
+    """The vicinity lists of every point of one sequence at one gamma.
+
+    The members of point i are members[start[i]:start[i + 1]], ascending.
+    Point i's expanded box has base arc (center[i], length[i]).
+    """
+
+    start: np.ndarray
+    members: np.ndarray
+    center: np.ndarray
+    length: np.ndarray
+
+
+def _vicinities(seq: Sequence, gamma: float) -> _Vicinities:
+    """The vicinity lists of seq at gamma, swept once and kept on seq."""
+    if not 0.0 < gamma < 1.0:
+        raise DomainError(f"gamma out of (0, 1): {gamma}")
+    cached = seq._vicinity_cache.get(gamma)
+    if cached is None:
+        cached = seq._vicinity_cache[gamma] = _sweep_vicinities(seq, gamma)
+    return cached
+
+
+def _sweep_vicinities(seq: Sequence, gamma: float) -> _Vicinities:
+    pts = seq.pointset
+    n = len(pts)
+    center = geometry._wrap_angles(pts.theta)
+    # the origin has no expanded box and is deeper than no point: it is in no list
+    boxed = np.flatnonzero(pts.depth < 1.0)
+    length = np.ones(n)
+    # Python's pow, as expanded_box takes it, keeps every verdict exact
+    length[boxed] = [d**gamma for d in pts.depth[boxed].tolist()]
+    i, j = geometry.intersecting_arc_pairs(center[boxed], math.pi * length[boxed])
+    i, j = boxed[i], boxed[j]
+    # of a meeting pair i < j, the deeper point joins the other's vicinity;
+    # on equal depth the later index does
+    deeper_j = pts.depth[j] <= pts.depth[i]
+    owner = np.where(deeper_j, i, j)
+    member = np.where(deeper_j, j, i)
+    order = np.lexsort((member, owner))
+    start = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n))))
+    return _Vicinities(start, member[order], center, length)
+
+
 def vicinity(seq: Sequence, i: int, gamma: float = DEFAULT_GAMMA) -> list[int]:
     """Indices j with |z_j| >= |z_i| whose expanded boxes meet z_i's.
 
     Equal radii are broken by index order so the relation stays
     antisymmetric.
     """
-    if not 0.0 < gamma < 1.0:
-        raise DomainError(f"gamma out of (0, 1): {gamma}")
-    zi = seq.points[i]
-    box_i = geometry.expanded_box(zi, gamma)
-    out = []
-    for j, zj in enumerate(seq.points):
-        if j == i:
-            continue
-        if zj.depth > zi.depth or (zj.depth == zi.depth and j < i):
-            continue
-        if geometry.expanded_box(zj, gamma).intersects(box_i):
-            out.append(j)
-    return out
+    lists = _vicinities(seq, gamma)
+    i = range(len(seq))[i]
+    if seq.points[i].is_origin():
+        raise DomainError("expanded box undefined at the origin")
+    return lists.members[lists.start[i] : lists.start[i + 1]].tolist()
 
 
 def restricted_vicinity(seq: Sequence, i: int, gamma: float = DEFAULT_GAMMA) -> list[int]:
     """Vicinity members whose plain box is not swallowed by another member's
     expanded box."""
-    vic = vicinity(seq, i, gamma)
-    boxes = {k: geometry.expanded_box(seq.points[k], gamma) for k in vic}
-    out = []
-    for j in vic:
-        plain = geometry.carleson_box(seq.points[j])
-        if not any(k != j and boxes[k].contains_box(plain) for k in vic):
-            out.append(j)
-    return out
+    vic = np.array(vicinity(seq, i, gamma), dtype=np.int64)
+    lists = _vicinities(seq, gamma)
+    depth = seq.pointset.depth
+    # expanded box k over plain box j, tried for the members j not yet
+    # swallowed against blocks of k, widest boxes first
+    kept = np.ones(len(vic), dtype=bool)
+    widest = vic[np.argsort(-lists.length[vic], kind="stable")]
+    for a in range(0, len(vic), _PAIR_BLOCK):
+        if not kept.any():
+            break
+        k = widest[a : a + _PAIR_BLOCK]
+        j = vic[kept, None]
+        radius = np.where(lists.length[k] >= 1.0, 0.0, 1.0 - lists.length[k])
+        inside = geometry.boxes_contain(
+            lists.center[k], lists.length[k], radius, lists.center[j], depth[j], 1.0 - depth[j]
+        )
+        kept[kept] = ~(inside & (j != k)).any(axis=1)
+    return vic[kept].tolist()
 
 
 def check_weak_separation(seq: Sequence, delta: float = DEFAULT_DELTA) -> CheckReport:
     """Pairwise kernel-metric separation; passes iff min distance > delta.
 
     Also records the hyperbolic-form minimum of d(z_i, z_j)/(d(z_i,0)+1)
-    for diagnostics.
+    for diagnostics.  Each unordered pair is evaluated once, in blocks of
+    rows.
     """
     n = len(seq)
     if n < 2:
         raise DomainError("need at least two points")
-    metric_min = math.inf
+    pts = seq.pointset
+    to_origin = pts.hyperbolic_distance(geometry.PointSet.from_points([geometry.ORIGIN]))
+    best = np.full(n, math.inf)
     hyp_min = math.inf
-    records = []
-    for i, zi in enumerate(seq.points):
-        best = math.inf
-        for j, zj in enumerate(seq.points):
-            if j == i:
-                continue
-            best = min(best, geometry.dirichlet_metric(zi, zj))
-            if zi != zj:
-                dh = geometry.hyperbolic_distance(zi, zj)
-                hyp_min = min(hyp_min, dh / (geometry.hyperbolic_distance(zi, geometry.ORIGIN) + 1.0))
-            else:
-                hyp_min = 0.0
-        metric_min = min(metric_min, best)
-        ratio = delta / best if best > 0 else math.inf
-        records.append({"index": i, "lhs": delta, "rhs": best, "ratio": ratio})
+    for a in range(0, n - 1, _PAIR_BLOCK):
+        b = min(a + _PAIR_BLOCK, n - 1)
+        rows, cols = pts[a:b, None], pts[a + 1 :]
+        upper = np.arange(a + 1, n) > np.arange(a, b)[:, None]
+        metric = np.where(upper, rows.dirichlet_metric(cols), math.inf)
+        best[a:b] = np.minimum(best[a:b], metric.min(axis=1))
+        best[a + 1 :] = np.minimum(best[a + 1 :], metric.min(axis=0))
+        # the distance is symmetric, so of the two ratios of a pair the
+        # one over the larger distance to the origin is the smaller
+        form = rows.hyperbolic_distance(cols) / (
+            np.maximum(to_origin[a:b, None], to_origin[a + 1 :]) + 1.0
+        )
+        hyp_min = min(hyp_min, float(np.where(upper, form, math.inf).min()))
+    records = [
+        {"index": i, "lhs": delta, "rhs": r, "ratio": delta / r if r > 0 else math.inf}
+        for i, r in enumerate(best.tolist())
+    ]
+    metric_min = float(best.min())
     params = {"delta": delta, "K": 1.0, "metric_min": metric_min, "hyperbolic_form_min": hyp_min}
     report = _finish("weak_separation", records, params, 1.0)
     report.passed = metric_min > delta
@@ -201,14 +267,15 @@ def check_capacitary_condition(
     if len({(p.theta, p.depth) for p in seq.points}) < len(seq):
         warnings.append("sequence has coincident points; weak separation fails")
     records = []
-    for i, zi in enumerate(seq.points):
+    pts = seq.pointset
+    for i in range(len(seq)):
         vic = vicinity(seq, i, gamma)
         d_i = seq.norms[i]
         if not vic:
             records.append({"index": i, "lhs": 0.0, "rhs": 1.0 / d_i, "ratio": 0.0})
             continue
         try:
-            arcs = [geometry.boundary_arc(geometry.mobius(zi, seq.points[j])) for j in vic]
+            arcs = [geometry.boundary_arc(p) for p in pts[i].mobius(pts[vic]).points()]
             lhs = capacity.log_capacity(arcs, quad_nodes_per_arc)
         except (NumericalError, DomainError) as exc:
             warnings.append(f"capacity solver failed at index {i}: {exc}")
@@ -271,18 +338,6 @@ def check_theorem_d(
     return _finish("restricted_vicinity_sum", records, params, budget)
 
 
-def _normalized_ok(points, eta, beta):
-    sub = Sequence(points)
-    if any(d <= NORMALIZED_NORM_FLOOR for d in sub.norms):
-        return False
-    for i, zi in enumerate(points):
-        for j in vicinity(sub, i, eta):
-            dj = points[j].depth
-            if dj**beta > zi.depth or dj > zi.depth / 2.0:
-                return False
-    return True
-
-
 def normalize(seq: Sequence, eta: float = DEFAULT_ETA, beta: float = DEFAULT_BETA) -> Sequence:
     """Drop the minimal prefix making the remainder deep and graded.
 
@@ -292,13 +347,20 @@ def normalize(seq: Sequence, eta: float = DEFAULT_ETA, beta: float = DEFAULT_BET
     """
     if not (0.0 < beta < eta < 1.0):
         raise DomainError(f"need 0 < beta < eta < 1, got beta={beta}, eta={eta}")
-    pts = list(seq.points)
-    for p in range(len(pts) + 1):
-        tail = pts[p:]
-        if not tail:
-            break
-        if _normalized_ok(tail, eta, beta):
-            return Sequence(tuple(tail), seq.label, seq.tail_bound)
+    n = len(seq)
+    # the vicinity of a point within a suffix is its full vicinity
+    # restricted to the suffix, so one list serves every prefix
+    lists = _vicinities(seq, eta)
+    owner = np.repeat(np.arange(n), np.diff(lists.start))
+    member = lists.members
+    depth = seq.pointset.depth
+    graded = np.array([d**beta for d in depth.tolist()])
+    bad = (graded[member] > depth[owner]) | (depth[member] > depth[owner] / 2.0)
+    shallow = np.flatnonzero(np.asarray(seq.norms) <= NORMALIZED_NORM_FLOOR)
+    # a suffix passes iff it holds no shallow point and no ungraded pair
+    keep_from = 1 + max(shallow.max(initial=-1), np.minimum(owner, member)[bad].max(initial=-1))
+    if keep_from < n:
+        return Sequence(seq.points[keep_from:], seq.label, seq.tail_bound)
     _warnings.warn(f"normalization dropped every point of {seq.label or 'sequence'}")
     return Sequence((), seq.label, seq.tail_bound)
 

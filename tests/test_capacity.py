@@ -44,6 +44,24 @@ class TestEquilibriumMeasure:
         assert math.isfinite(mu.energy) and mu.energy > 0
 
 
+class TestArcNodes:
+    @pytest.mark.parametrize("n", [8, 24, 61])
+    def test_cached_rule_matches_fresh_build(self, n):
+        t, cells = capacity._unit_arc_nodes(n)
+        assert capacity._unit_arc_nodes(n)[0] is t
+        for shared in (t, cells):
+            with pytest.raises(ValueError):
+                shared[0] = 0.0
+        x = np.polynomial.legendre.leggauss(n)[0]
+        fresh = np.sin(0.25 * math.pi * (x + 1.0)) ** 2
+        bounds = np.concatenate(([0.0], 0.5 * (fresh[1:] + fresh[:-1]), [1.0]))
+        arc = Arc(2.5, 0.03)
+        span = 2.0 * arc.half_width
+        nodes, widths = capacity._arc_nodes(arc, n)
+        assert np.array_equal(nodes, arc.start + fresh * span)
+        assert np.array_equal(widths, np.diff(bounds) * span)
+
+
 class TestLogCapacity:
     def test_empty(self):
         assert capacity.log_capacity([]) == 0.0

@@ -5,31 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from disclab.errors import DomainError, NumericalError
-from disclab.numerics import (
-    SymmetricSystem,
-    adaptive_integrate,
-    gauss_legendre,
-    solve_spd,
-)
-
-
-class TestGaussLegendre:
-    @given(st.integers(2, 64))
-    def test_weights_sum_to_interval_length(self, n):
-        rule = gauss_legendre(n)
-        assert rule.weights.sum() == pytest.approx(2.0, abs=1e-12)
-
-    def test_exact_for_polynomials(self):
-        rule = gauss_legendre(6)
-        # degree 11 is the highest degree a 6-point rule integrates exactly
-        value = np.sum(rule.weights * rule.nodes**10)
-        assert value == pytest.approx(2.0 / 11.0, abs=1e-13)
-
-    def test_size_limits(self):
-        with pytest.raises(DomainError):
-            gauss_legendre(1)
-        with pytest.raises(DomainError):
-            gauss_legendre(513)
+from disclab.numerics import SymmetricSystem, adaptive_integrate, solve_spd
 
 
 class TestSolveSpd:

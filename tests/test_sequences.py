@@ -1,12 +1,15 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import sequence_oracle
+from conftest import disc_points
 from disclab import geometry, sequences
-from disclab.errors import DomainError, InputError
+from disclab.errors import DisclabError, DomainError, InputError
 from disclab.geometry import Arc, DiscPoint
 from disclab.sequences import Sequence
 
@@ -235,6 +238,81 @@ class TestGenerators:
         monkeypatch.setattr(sequences, "vicinity", lambda seq, i, gamma: [i + 1])
         with pytest.raises(InputError, match="overlapping boxes at point #0"):
             sequences.generate("disjoint_boxes", {"count": 3}, seed=0)
+
+
+def metric_close(got, want):
+    # the metric is sqrt(1 - g) with g good to a few ulps, so near 0 the
+    # root spreads those ulps over many digits: compare 1 - g there
+    return math.isclose(got, want, rel_tol=1e-12) or abs(got * got - want * want) <= 16 * 2.0**-52
+
+
+def ratios_close(got, want):
+    return [r["index"] for r in got.records] == [r["index"] for r in want.records] and all(
+        (math.isnan(a["ratio"]) and math.isnan(b["ratio"])) or math.isclose(a["ratio"], b["ratio"], rel_tol=1e-12)
+        for a, b in zip(got.records, want.records)
+    )
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the DisclabError it raises."""
+    try:
+        return f(*args)
+    except DisclabError as exc:
+        return type(exc)
+
+
+def _touching_pair(gamma):
+    # expanded arcs of the two points meet end to end, up to rounding
+    a, b = 0.02, 0.005
+    return [DiscPoint(1.0, a), DiscPoint(1.0 + math.pi * (a**gamma + b**gamma), b)]
+
+
+class TestArrayLayerMatchesOracle:
+    @given(st.lists(disc_points(), min_size=2, max_size=12), st.sampled_from([0.3, 0.75, 0.9]))
+    @example([DiscPoint(0.01, 0.05), DiscPoint(2.0 * math.pi - 0.01, 0.01), DiscPoint(3.0, 0.2)], 0.75)
+    @example([DiscPoint(0.0, 0.05), DiscPoint(0.01, 0.05), DiscPoint(0.02, 0.05)], 0.75)  # equal depths
+    @example([DiscPoint(1.0, 0.1), DiscPoint(1.0, 0.1), DiscPoint(1.02, 0.01)], 0.75)  # coincident
+    @example(_touching_pair(0.75), 0.75)
+    @example([DiscPoint(1.0, 1.0 - 2.0**-53), DiscPoint(4.0, 0.3), DiscPoint(2.0, 1e-4)], 0.3)  # a full circle
+    def test_lists_and_checks(self, points, gamma):
+        seq = Sequence(tuple(points))
+        for i in range(len(seq)):
+            assert outcome(sequences.vicinity, seq, i, gamma) == outcome(sequence_oracle.vicinity, seq, i, gamma)
+            assert outcome(sequences.restricted_vicinity, seq, i, gamma) == outcome(
+                sequence_oracle.restricted_vicinity, seq, i, gamma
+            )
+
+        ws, want = sequences.check_weak_separation(seq), sequence_oracle.weak_separation(seq, sequences.DEFAULT_DELTA)
+        assert (ws.passed, ws.witness_index) == (want.passed, want.witness_index)
+        assert metric_close(ws.params["metric_min"], want.params["metric_min"])
+        assert all(metric_close(a["rhs"], b["rhs"]) for a, b in zip(ws.records, want.records))
+        assert math.isclose(
+            ws.params["hyperbolic_form_min"], want.params["hyperbolic_form_min"], rel_tol=1e-12, abs_tol=16 * 2.0**-52
+        )
+
+        cc = outcome(sequences.check_capacitary_condition, seq, gamma)
+        want = outcome(sequence_oracle.capacitary_condition, seq, gamma)
+        if isinstance(want, type):  # the origin has no vicinity
+            assert cc is want
+        else:
+            assert (cc.passed, cc.witness_index, cc.warnings) == (want.passed, want.witness_index, want.warnings)
+            assert ratios_close(cc, want)
+            td = sequences.check_theorem_d(seq, gamma)
+            for rec in td.records:
+                i = rec["index"]
+                total = sum(1.0 / seq.norms[j] for j in sequence_oracle.restricted_vicinity(seq, i, gamma))
+                assert rec["lhs"] == total
+
+    @given(st.lists(disc_points(min_depth=1e-200, max_depth=0.5), max_size=10), st.integers(0, 3))
+    @example([DiscPoint(0.0, 0.5), DiscPoint(1.0, math.exp(-200)), DiscPoint(1.0, math.exp(-300))], 0)
+    def test_normalize(self, points, deep_tail):
+        # a sorted deep tail gives normalize something to keep
+        tail = [DiscPoint(0.5 * k, math.exp(-150.0 - 40.0 * k)) for k in range(deep_tail)]
+        seq = Sequence(tuple(points + tail))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = sequences.normalize(seq)
+        assert got.points == sequence_oracle.normalize(seq, sequences.DEFAULT_ETA, sequences.DEFAULT_BETA).points
 
 
 @pytest.fixture(scope="module")
