@@ -15,6 +15,7 @@ single arcs (frozen constants below).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -163,6 +164,30 @@ def log_capacity(arcs: list[Arc], quad_nodes_per_arc: int = 24) -> float:
     return CAP_SCALE / max(mu.energy + CAP_SHIFT, CAP_DEN_FLOOR)
 
 
+def _disc_meets_box(c: complex, rho: float, box: CarlesonBox) -> bool:
+    """Whether the closed Euclidean disc (c, rho) meets the box.
+
+    The box is the annular sector r >= r0 over its base arc.  The disc
+    reaches radius r0 or more along the rays within alpha of arg c, so the
+    two meet iff the base arc meets that arc of rays.  alpha is the
+    tangent angle asin(rho/|c|) when the tangent points lie at radius
+    r0 or more, and else the angle at which the circle |w| = r0 crosses
+    the disc's rim (law of cosines).
+    """
+    r0, a = box.inner_radius, abs(c)
+    if a + rho < r0:
+        return False
+    if r0 <= rho - a:  # the disc covers the circle |w| = r0
+        return True
+    if a * a - rho * rho >= r0 * r0:
+        alpha = math.asin(rho / a)
+    else:
+        alpha = math.acos(max(-1.0, min(1.0, (r0 * r0 + a * a - rho * rho) / (2.0 * r0 * a))))
+    arc = box.base_arc
+    gap = abs(geometry._signed_angle(cmath.phase(c) - arc.center_angle))
+    return arc.is_full_circle() or gap <= arc.half_width + alpha
+
+
 def _target_to_arc_and_clearance(z: DiscPoint, target) -> tuple[Arc | None, bool, bool]:
     """(image arc, plates_touch, precondition_ok) for one outer-plate item."""
     if isinstance(target, DiscPoint):
@@ -177,19 +202,15 @@ def _target_to_arc_and_clearance(z: DiscPoint, target) -> tuple[Arc | None, bool
         ok = target.center.depth <= z.depth / 2.0
         return geometry.boundary_arc(geometry.mobius(z, target.center)), False, ok
     if isinstance(target, CarlesonBox):
-        c, rad = geometry.unit_hyperbolic_disc(z).euclidean()
-        ts = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
-        ring = c + rad * np.exp(1j * ts)
-        for wpt in ring:
-            r_w = abs(wpt)
-            if r_w >= target.inner_radius and target.base_arc.contains_angle(
-                float(np.angle(wpt))
-            ):
-                return None, True, True
+        if _disc_meets_box(*geometry.unit_hyperbolic_disc(z).euclidean(), target):
+            return None, True, True
         depth_b = target.base_arc.length
         w = DiscPoint(target.base_arc.center_angle, depth_b)
         ok = depth_b <= z.depth / 2.0
-        return geometry.boundary_arc(geometry.mobius(z, w)), False, ok
+        # the arc of the image point; when w == z, as for a full-circle box
+        # around the origin, the image is the origin and its arc the whole circle
+        image = geometry.mobius(z, w)
+        return Arc(image.theta, image.depth), False, ok
     if isinstance(target, Arc):
         return geometry.arc_mobius_image(z, target), False, True
     raise DomainError(f"unsupported target type: {type(target).__name__}")
@@ -249,12 +270,6 @@ class PolarGrid:
         # flat node coordinates for rasterization
         self.node_r = np.concatenate([[0.0], np.repeat(self.ring_r, n_t)])
         self.node_t = np.concatenate([[0.0], np.tile(self.thetas, self.n_rings)])
-
-    def node_index(self, ring: int, j: int) -> int:
-        """ring 0 is the center; rings 1..n_rings carry n_t nodes each."""
-        if ring == 0:
-            return 0
-        return 1 + (ring - 1) * self.n_t + (j % self.n_t)
 
     def _build_edges(self):
         nt, dt = self.n_t, self.dtheta
@@ -334,10 +349,9 @@ class PolarGrid:
         fixed = mask0 | mask1
         free = ~fixed
         if free.any():
-            lap = self.laplacian
-            rhs = -(lap[free][:, fixed] @ u[fixed])
-            sol = scipy.sparse.linalg.spsolve(lap[free][:, free].tocsc(), rhs)
-            u[free] = sol
+            rows = self.laplacian[free]
+            rhs = -(rows[:, fixed] @ u[fixed])
+            u[free] = scipy.sparse.linalg.spsolve(rows[:, free].tocsc(), rhs)
         return u, self.energy_of(u)
 
     def energy_of(self, u: np.ndarray) -> float:
@@ -399,13 +413,6 @@ def grid_condenser_capacity(spec: CondenserSpec, resolution: tuple[int, int] = (
         mask1 |= grid.rasterize(t, f"outer plate #{i}")
     u, energy = grid.solve(mask0, mask1)
     return GridPotential(grid, u, energy)
-
-
-def capacity_upper_bound(u: GridPotential, a: float, b: float) -> float:
-    """Lemma-style bound energy(u)/(b-a)^2 from a merely admissible function."""
-    if a >= b:
-        raise DomainError(f"need a < b, got a={a}, b={b}")
-    return u.energy / (b - a) ** 2
 
 
 def three_condenser_capacities(

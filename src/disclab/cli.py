@@ -1,15 +1,17 @@
 """Batch front door: run checkers, tree computations, and capacity solves.
 
 Exit codes: 0 pass, 1 condition failed, 2 bad input, 3 numerical failure.
-Reports are JSON (sweep tables CSV) and embed the full run configuration.
+Reports are JSON (sweep tables CSV) and echo the parameters the
+subcommand read.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import __version__, capacity, geometry, sequences, tree
 from .errors import DisclabError, InputError, NumericalError, ResolutionError
@@ -20,40 +22,36 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-@dataclass
-class RunConfig:
-    gamma: float = sequences.DEFAULT_GAMMA
-    eta: float = sequences.DEFAULT_ETA
-    beta: float = sequences.DEFAULT_BETA
-    delta: float = sequences.DEFAULT_DELTA
-    budget: float = sequences.COMPARABILITY_BUDGET
-    quad_nodes: int = 24
-    grid_r: int = 96
-    grid_t: int = 256
-    out_format: str = "json"
-    seed: int = 0
+# Flags by name.  Each subcommand takes only the flags it reads.
+_FLAGS = {
+    "gamma": dict(type=float, default=sequences.DEFAULT_GAMMA),
+    "eta": dict(type=float, default=sequences.DEFAULT_ETA),
+    "delta": dict(type=float, default=sequences.DEFAULT_DELTA),
+    "budget": dict(type=float, default=sequences.COMPARABILITY_BUDGET),
+    "quad": dict(type=int, default=24, dest="quad_nodes"),
+    "grid-r": dict(type=int, default=96),
+    "grid-t": dict(type=int, default=256),
+    "seed": dict(type=int, default=0),
+    "out": dict(default=None, help="write the JSON report here as well as stdout"),
+    "csv": dict(default=None, help="write tabular output here"),
+}
+
+# the parsed values a report echoes in its "config" block, in this order
+_CONFIG_KEYS = ("gamma", "eta", "delta", "budget", "quad_nodes", "grid_r", "grid_t", "seed")
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        gamma=args.gamma,
-        eta=args.eta,
-        beta=args.beta,
-        delta=args.delta,
-        budget=args.budget,
-        quad_nodes=args.quad,
-        grid_r=args.grid_r,
-        grid_t=args.grid_t,
-        out_format=args.format,
-        seed=args.seed,
-    )
+def _add_flags(p, names: str):
+    for name in names.split():
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
-def _emit(report: dict, config: RunConfig, out):
-    report = {"version": __version__, "config": asdict(config), **report}
+def _emit(report: dict, args):
+    given = vars(args)
+    config = {key: given[key] for key in _CONFIG_KEYS if key in given}
+    report = {"version": __version__, "config": config, **report}
     text = json.dumps(report, indent=2, default=str)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     print(text)
 
@@ -76,22 +74,21 @@ def _parse_arcs(data) -> list:
 
 
 def cmd_check(args) -> int:
-    config = _config(args)
     seq = sequences.load_sequence(args.sequence)
     if args.condition == "mass":
         total = sequences.check_finite_measure(seq)
-        _emit({"condition_name": "finite_measure", "total_mass": total, "pass": True}, config, args.out)
+        _emit({"condition_name": "finite_measure", "total_mass": total, "pass": True}, args)
         return EXIT_PASS
     if args.condition == "ws":
-        report = sequences.check_weak_separation(seq, config.delta)
+        report = sequences.check_weak_separation(seq, args.delta)
     elif args.condition == "cc":
-        report = sequences.check_capacitary_condition(seq, config.gamma, config.quad_nodes, config.budget)
+        report = sequences.check_capacitary_condition(seq, args.gamma, args.quad_nodes, args.budget)
     elif args.condition == "cm":
         families = [_parse_arcs(f) for f in _load_json(args.arcs)["families"]]
-        report = sequences.check_carleson(seq, families, config.quad_nodes, config.budget)
+        report = sequences.check_carleson(seq, families, args.quad_nodes, args.budget)
     else:  # theorem-d
-        report = sequences.check_theorem_d(seq, config.gamma, config.budget)
-    _emit(report.to_json(), config, args.out)
+        report = sequences.check_theorem_d(seq, args.gamma, args.budget)
+    _emit(report.to_json(), args)
     if args.csv:
         report.to_csv(args.csv)
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -106,42 +103,39 @@ def _parse_node(text) -> tree.TreeNode:
 
 
 def cmd_tree(args) -> int:
-    config = _config(args)
     if args.tree_cmd == "cap":
         cond = tree.TreeCondenser(_parse_node(args.source), tuple(_parse_node(t) for t in args.target))
         exact = tree.tree_capacity_exact(cond)
         rec = tree.tree_capacity_recursive(cond)
         _emit(
             {"capacity_exact": exact, "capacity_recursive": rec, "difference": abs(exact - rec)},
-            config,
-            args.out,
+            args,
         )
         return EXIT_PASS
     if args.tree_cmd == "comb":
         rows = tree.comb_sweep(range(args.m_min, args.m_max + 1), with_exact=args.exact)
         if args.csv:
             tree.sweep_to_csv(rows, args.csv)
-        _emit({"sweep": [asdict(r) for r in rows], "limit": tree.COMB_LIMIT}, config, args.out)
+        _emit({"sweep": [asdict(r) for r in rows], "limit": tree.COMB_LIMIT}, args)
         return EXIT_PASS
     if args.tree_cmd == "counterexample":
         report = tree.counterexample_scenario(
-            tuple(args.m), gamma=config.gamma, eta=config.eta, seed=config.seed
+            tuple(args.m), gamma=args.gamma, eta=args.eta, seed=args.seed
         )
-        _emit(report.to_json(), config, args.out)
+        _emit(report.to_json(), args)
         return EXIT_PASS if report.passed else EXIT_FAIL
     # distcheck
     result = tree.tree_disc_distance_check(args.n_max)
-    _emit(result, config, args.out)
+    _emit(result, args)
     return EXIT_PASS if result["pass"] else EXIT_FAIL
 
 
 def cmd_capacity(args) -> int:
-    config = _config(args)
     spec = _load_json(args.spec)
     if args.cap_cmd == "arcs":
         arcs = _parse_arcs(spec.get("arcs", []))
-        value = capacity.log_capacity(arcs, config.quad_nodes)
-        _emit({"capacity": value, "arc_count": len(arcs)}, config, args.out)
+        value = capacity.log_capacity(arcs, args.quad_nodes)
+        _emit({"capacity": value, "arc_count": len(arcs)}, args)
         return EXIT_PASS
     if args.cap_cmd == "condenser":
         try:
@@ -151,8 +145,8 @@ def cmd_capacity(args) -> int:
             targets += _parse_arcs(spec.get("arcs", []))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed condenser spec: {exc}") from exc
-        result = capacity.condenser_capacity(z, targets, config.quad_nodes)
-        _emit({"capacity": result.value, "warnings": list(result.warnings)}, config, args.out)
+        result = capacity.condenser_capacity(z, targets, args.quad_nodes)
+        _emit({"capacity": result.value, "warnings": list(result.warnings)}, args)
         return EXIT_PASS
     # grid
     try:
@@ -166,10 +160,10 @@ def cmd_capacity(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed grid condenser spec: {exc}") from exc
     pot = capacity.grid_condenser_capacity(
-        capacity.CondenserSpec(disc, outer), (config.grid_r, config.grid_t)
+        capacity.CondenserSpec(disc, outer), (args.grid_r, args.grid_t)
     )
     refined = capacity.grid_condenser_capacity(
-        capacity.CondenserSpec(disc, outer), (config.grid_r + config.grid_r // 2, config.grid_t + config.grid_t // 2)
+        capacity.CondenserSpec(disc, outer), (args.grid_r + args.grid_r // 2, args.grid_t + args.grid_t // 2)
     )
     if args.csv:
         pot.to_csv(args.csv)
@@ -180,25 +174,9 @@ def cmd_capacity(args) -> int:
             "refinement_delta": refined.energy - pot.energy,
             "resolution": list(pot.resolution),
         },
-        config,
-        args.out,
+        args,
     )
     return EXIT_PASS
-
-
-def _add_common(p):
-    p.add_argument("--gamma", type=float, default=sequences.DEFAULT_GAMMA)
-    p.add_argument("--eta", type=float, default=sequences.DEFAULT_ETA)
-    p.add_argument("--beta", type=float, default=sequences.DEFAULT_BETA)
-    p.add_argument("--delta", type=float, default=sequences.DEFAULT_DELTA)
-    p.add_argument("--budget", type=float, default=sequences.COMPARABILITY_BUDGET)
-    p.add_argument("--quad", type=int, default=24)
-    p.add_argument("--grid-r", type=int, default=96)
-    p.add_argument("--grid-t", type=int, default=256)
-    p.add_argument("--out", default=None, help="write the JSON report here as well as stdout")
-    p.add_argument("--csv", default=None, help="write tabular output here (where applicable)")
-    p.add_argument("--format", default="json", choices=["json"])
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("condition", choices=["ws", "cc", "cm", "mass", "theorem-d"])
     p_check.add_argument("sequence", help="sequence JSON file")
     p_check.add_argument("--arcs", default=None, help="arc-family JSON for the cm sampler")
-    _add_common(p_check)
+    _add_flags(p_check, "gamma delta budget quad out csv")
     p_check.set_defaults(func=cmd_check)
 
     p_tree = sub.add_parser("tree", help="tree capacities, combs, the counterexample")
@@ -217,37 +195,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap = tree_sub.add_parser("cap")
     p_cap.add_argument("--source", required=True, help="level,index")
     p_cap.add_argument("--target", required=True, nargs="+", help="level,index ...")
-    _add_common(p_cap)
+    _add_flags(p_cap, "out")
     p_cap.set_defaults(func=cmd_tree)
     p_comb = tree_sub.add_parser("comb")
     p_comb.add_argument("--m-min", type=int, default=2)
     p_comb.add_argument("--m-max", type=int, default=10)
     p_comb.add_argument("--exact", action="store_true", help="also run the linear-solver oracle")
-    _add_common(p_comb)
+    _add_flags(p_comb, "csv out")
     p_comb.set_defaults(func=cmd_tree)
     p_ce = tree_sub.add_parser("counterexample")
     p_ce.add_argument("--m", type=int, nargs="+", default=[4, 5, 6])
-    _add_common(p_ce)
+    _add_flags(p_ce, "gamma eta seed out")
     p_ce.set_defaults(func=cmd_tree)
     p_dist = tree_sub.add_parser("distcheck")
     p_dist.add_argument("--n-max", type=int, default=60)
-    _add_common(p_dist)
+    _add_flags(p_dist, "out")
     p_dist.set_defaults(func=cmd_tree)
 
     p_capc = sub.add_parser("capacity", help="capacity of arc unions and condensers")
     cap_sub = p_capc.add_subparsers(dest="cap_cmd", required=True)
-    for name in ("arcs", "condenser", "grid"):
+    for name, flags in (("arcs", "quad out"), ("condenser", "quad out"), ("grid", "grid-r grid-t csv out")):
         p = cap_sub.add_parser(name)
         p.add_argument("spec", help="spec JSON file")
-        _add_common(p)
+        _add_flags(p, flags)
         p.set_defaults(func=cmd_capacity)
 
     return parser
 
 
+# argparse parsers are reusable, so one serves every call of main
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

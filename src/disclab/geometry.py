@@ -90,10 +90,6 @@ class DiscPoint:
             raise DomainError(f"radius out of [0,1): {r}")
         return cls(theta if r > 0 else 0.0, 1.0 - r)
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "DiscPoint":
-        return cls.from_xy(z.real, z.imag)
-
     @property
     def r(self) -> float:
         return 1.0 - self.depth
@@ -198,8 +194,7 @@ class PointSet:
         """k(w, z) for w in self and z in other."""
         q = (1.0 - self.depth) * (1.0 - other.depth) * np.exp(1j * (self.theta - other.theta))
         series = 1.0 + q * (0.5 + q * (1.0 / 3.0 + q * 0.25))
-        with np.errstate(divide="ignore", invalid="ignore"):  # q == 0 takes the series
-            closed = -np.log(other.one_minus_conj_prod(self)) / q
+        closed = _quotient(-np.log(other.one_minus_conj_prod(self)), q)  # q == 0 takes the series
         return np.where(np.abs(q) < _KERNEL_SERIES_CUTOFF, series, closed)
 
     def dirichlet_metric(self, other: "PointSet") -> np.ndarray:
@@ -212,6 +207,24 @@ class PointSet:
         m = self.mobius(other)
         with np.errstate(over="ignore"):  # inf past depth ~1e-308, as for Python floats
             return 0.5 * np.log((2.0 - m.depth) / m.depth)
+
+
+def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b in real arithmetic, operation for operation as Python divides.
+
+    CPython scales by the larger part of b (Smith's method); numpy
+    multiplies by a reciprocal, which can differ by an ulp, and one ulp of
+    the kernel can separate a metric of 0.0 from one of 1.5e-8.
+    """
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)
+    # np.where evaluates both branches; the one it drops, and b == 0, may divide by 0 or overflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = np.where(by_real, bi / br, br / bi)
+        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+        re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+        im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return re + 1j * im
 
 
 def point_to_json(p: DiscPoint) -> dict:
@@ -510,15 +523,6 @@ def boundary_arc(z: DiscPoint) -> Arc:
     return Arc(z.theta, z.depth)
 
 
-def arc_transform(arc: Arc, eta: float, big_k: float) -> Arc:
-    """K * I^eta: cocentric arc of length min(1, K*|I|^eta)."""
-    if not (0.0 < eta <= 1.0):
-        raise DomainError(f"eta out of (0,1]: {eta}")
-    if big_k < 1.0:
-        raise DomainError(f"K must be >= 1: {big_k}")
-    return Arc(arc.center_angle, min(1.0, big_k * arc.length**eta))
-
-
 def _boundary_mobius_angle(z: DiscPoint, t: float) -> float:
     """Angle of phi_z(e^{it}); the boundary maps to itself."""
     zeta = cmath.exp(1j * t)
@@ -610,10 +614,6 @@ class HyperbolicDisc:
         a2 = abs(z) ** 2
         den = 1.0 - rho * rho * a2
         return z * (1.0 - rho * rho) / den, rho * (1.0 - a2) / den
-
-    def contains_complex(self, w: complex) -> bool:
-        c, rad = self.euclidean()
-        return abs(w - c) <= rad
 
     def contains_point(self, p: DiscPoint) -> bool:
         return hyperbolic_distance(self.center, p) <= self.radius

@@ -38,10 +38,6 @@ class TreeNode:
         if self.n < 0 or self.k < 1 or (self.k - 1) >> self.n:
             raise DomainError(f"invalid tree node (n={self.n}, k={self.k})")
 
-    @property
-    def level(self) -> int:
-        return self.n
-
     def parent(self) -> "TreeNode":
         if self.n == 0:
             raise DomainError("the root has no parent")
@@ -62,13 +58,6 @@ class TreeNode:
     def is_below(self, other: "TreeNode") -> bool:
         """True iff the box of self is contained in the box of other."""
         return self.n >= other.n and self.ancestor_at(other.n) == other
-
-    def path_to_root(self) -> list["TreeNode"]:
-        node, out = self, [self]
-        while node.n > 0:
-            node = node.parent()
-            out.append(node)
-        return out
 
     def embed(self) -> DiscPoint:
         """The disc point (1 - 2^-n) e^{2 pi i k / 2^n}."""

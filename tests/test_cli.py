@@ -26,6 +26,13 @@ def duplicate_sequence(tmp_path):
     return write_sequence(tmp_path / "dup.json", [p, p])
 
 
+# Delta_{atanh 0.3}(0) against the whole circle: an annulus of capacity 2 pi / log(1/0.3)
+ANNULUS_SPEC = {
+    "plate_inner": {"center": {"theta": 0.0, "depth": 1.0}, "radius": math.atanh(0.3)},
+    "plate_outer": {"arcs": [{"center_angle": 0.0, "length": 1.0}]},
+}
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -78,12 +85,76 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["records"]
 
-    def test_config_echoed(self, good_sequence, capsys):
+    def test_config_echoed(self, good_sequence, tmp_path, capsys):
         code, out, _ = run(
             ["check", "ws", str(good_sequence), "--delta", "0.05"], capsys
         )
         assert code == 0
-        assert json.loads(out)["config"]["delta"] == 0.05
+        assert json.loads(out)["config"] == {
+            "gamma": sequences.DEFAULT_GAMMA,
+            "delta": 0.05,
+            "budget": sequences.COMPARABILITY_BUDGET,
+            "quad_nodes": 24,
+        }
+
+        # every other subcommand echoes exactly the parameters it reads
+        arcs = tmp_path / "arcs.json"
+        arcs.write_text(json.dumps({"arcs": [{"center_angle": 0.0, "length": 0.1}]}))
+        condenser = tmp_path / "condenser.json"
+        condenser.write_text(
+            json.dumps({"z": {"theta": 0.0, "depth": 0.5}, "arcs": [{"center_angle": 3.0, "length": 0.01}]})
+        )
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(ANNULUS_SPEC))
+        cases = [
+            (["tree", "cap", "--source", "3,2", "--target", "10,256"], {}),
+            (["tree", "comb", "--m-max", "3"], {}),
+            (
+                ["tree", "counterexample", "--m", "4", "--seed", "7"],
+                {"gamma": sequences.DEFAULT_GAMMA, "eta": sequences.DEFAULT_ETA, "seed": 7},
+            ),
+            (["tree", "distcheck", "--n-max", "5"], {}),
+            (["capacity", "arcs", str(arcs), "--quad", "16"], {"quad_nodes": 16}),
+            (["capacity", "condenser", str(condenser)], {"quad_nodes": 24}),
+            (["capacity", "grid", str(grid), "--grid-r", "32", "--grid-t", "64"], {"grid_r": 32, "grid_t": 64}),
+        ]
+        for argv, config in cases:
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            assert json.loads(out)["config"] == config
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "ws", "seq.json", "--grid-r", "32"],
+            ["check", "cc", "seq.json", "--seed", "1"],
+            ["tree", "cap", "--source", "3,2", "--target", "10,256", "--gamma", "0.5"],
+            ["tree", "comb", "--quad", "16"],
+            ["tree", "counterexample", "--delta", "0.1"],
+            ["tree", "distcheck", "--csv", "d.csv"],
+            ["capacity", "arcs", "spec.json", "--beta", "0.1"],
+            ["capacity", "condenser", "spec.json", "--grid-t", "64"],
+            ["capacity", "grid", "spec.json", "--format", "json"],
+        ],
+        ids=lambda argv: "-".join(argv[:2] + [[a for a in argv if a.startswith("--")][-1][2:]]),
+    )
+    def test_unread_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_benchmark_invocations_parse(self):
+        parser = cli.build_parser()
+        for condition in ("ws", "cc", "theorem-d", "mass"):
+            assert parser.parse_args(["check", condition, "seq.json"]).condition == condition
+        assert parser.parse_args(["capacity", "arcs", "arcs.json"]).quad_nodes == 24
+        args = parser.parse_args(["capacity", "grid", "grid.json", "--grid-r", "96", "--grid-t", "256"])
+        assert (args.grid_r, args.grid_t) == (96, 256)
+        assert parser.parse_args(["tree", "counterexample"]).m == [4, 5, 6]
+        assert parser.parse_args(["tree", "comb", "--m-max", "60"]).m_max == 60
 
 
 class TestTree:
@@ -157,17 +228,7 @@ class TestCapacity:
 
     def test_grid_writes_out_file(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
-        spec.write_text(
-            json.dumps(
-                {
-                    "plate_inner": {
-                        "center": {"theta": 0.0, "depth": 1.0},
-                        "radius": math.atanh(0.3),
-                    },
-                    "plate_outer": {"arcs": [{"center_angle": 0.0, "length": 1.0}]},
-                }
-            )
-        )
+        spec.write_text(json.dumps(ANNULUS_SPEC))
         out_path = tmp_path / "report.json"
         code, out, _ = run(
             [

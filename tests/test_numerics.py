@@ -1,34 +1,12 @@
+"""Unit tests of the adaptive quadrature oracle in quadrature_oracle.py."""
+
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from disclab.errors import DomainError, NumericalError
-from disclab.numerics import SymmetricSystem, adaptive_integrate, solve_spd
-
-
-class TestSolveSpd:
-    def test_random_system(self):
-        rng = np.random.default_rng(0)
-        m = rng.normal(size=(12, 12))
-        a = m @ m.T + 12 * np.eye(12)
-        x_true = rng.normal(size=12)
-        x = solve_spd(SymmetricSystem(a, a @ x_true))
-        assert np.allclose(x, x_true, atol=1e-10)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(DomainError):
-            SymmetricSystem(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(DomainError):
-            SymmetricSystem(np.ones((2, 3)), np.zeros(2))
-
-    def test_not_positive_definite(self):
-        a = np.diag([1.0, -1.0])
-        with pytest.raises(NumericalError):
-            solve_spd(SymmetricSystem(a, np.ones(2)))
+from quadrature_oracle import adaptive_integrate
 
 
 class TestAdaptiveIntegrate:

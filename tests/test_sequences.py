@@ -274,6 +274,14 @@ class TestArrayLayerMatchesOracle:
     @example([DiscPoint(1.0, 0.1), DiscPoint(1.0, 0.1), DiscPoint(1.02, 0.01)], 0.75)  # coincident
     @example(_touching_pair(0.75), 0.75)
     @example([DiscPoint(1.0, 1.0 - 2.0**-53), DiscPoint(4.0, 0.3), DiscPoint(2.0, 1e-4)], 0.3)  # a full circle
+    # equal depths, angles apart by a subnormal-scale amount: a kernel quotient an
+    # ulp off the scalar one gave a metric of 1.5e-8 where the scalar metric is 0
+    @example([DiscPoint(0.0, 1.670170079024566e-05), DiscPoint(0.0, 1.0), DiscPoint(0.0, 1.0),
+              DiscPoint(8.17662427021193e-89, 1.670170079024566e-05)], 0.3)
+    @example([DiscPoint(2.92580944123713e-266, 0.09735478666869765), DiscPoint(0.0, 1.0), DiscPoint(0.0, 1.0),
+              DiscPoint(0.0, 0.09735478666869765)], 0.3)
+    @example([DiscPoint(2.2872594319707817e-98, 0.27693726268067703), DiscPoint(0.0, 1.0), DiscPoint(0.0, 1.0),
+              DiscPoint(0.0, 0.27693726268067703)], 0.3)
     def test_lists_and_checks(self, points, gamma):
         seq = Sequence(tuple(points))
         for i in range(len(seq)):

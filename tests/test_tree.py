@@ -85,7 +85,7 @@ class TestStructure:
         anc = node.ancestor_at(3)
         assert node.is_below(anc)
         assert not anc.is_below(node)
-        assert node.path_to_root()[-1] == ROOT
+        assert node.ancestor_at(0) == ROOT
 
     def test_embedding_values(self):
         node = TreeNode(5, 3)
