@@ -11,6 +11,12 @@ Two routes, kept deliberately independent:
 The normalization C(E) = cap_D(Delta_1(0), E) is realized by an affine
 calibration of the inverse equilibrium energy against the grid solver on
 single arcs (frozen constants below).
+
+The grid's cost follows the plates, not the grid: a plate is rasterized
+by testing only a window of rings and angles around it, the Laplacian
+on the free nodes is symmetric positive definite and is factored
+without pivoting under a minimum-degree ordering, and the energy sums
+only the edges at free or Dirichlet-one nodes.
 """
 
 from __future__ import annotations
@@ -274,36 +280,20 @@ class PolarGrid:
     def _build_edges(self):
         nt, dt = self.n_t, self.dtheta
         r = self.ring_r
-        rows_a, rows_b, gs = [], [], []
-        # center to first ring
-        first = 1 + np.arange(nt)
-        rows_a.append(np.zeros(nt, dtype=int))
-        rows_b.append(first)
-        gs.append(np.full(nt, 0.5 * dt))
-        # radial edges ring k -> k+1
-        for k in range(self.n_rings - 1):
-            a = 1 + k * nt + np.arange(nt)
-            face = 0.5 * (r[k] + r[k + 1])
-            g = face * dt / (r[k + 1] - r[k])
-            rows_a.append(a)
-            rows_b.append(a + nt)
-            gs.append(np.full(nt, g))
-        # angular edges within each ring
-        widths = np.empty(self.n_rings)
+        node = 1 + np.arange(self.n_rings * nt)  # ring nodes, ring by ring
+        after = node + 1  # angular neighbour, wrapping at the end of each ring
+        after[nt - 1 :: nt] -= nt
+        face = 0.5 * (r[:-1] + r[1:])
         prev = np.concatenate([[0.0], r[:-1]])
         nxt = np.concatenate([r[1:], [1.0]])
         widths = 0.5 * (nxt - prev)
         widths[-1] = 0.5 * (1.0 - r[-2])
-        for k in range(self.n_rings):
-            a = 1 + k * nt + np.arange(nt)
-            b = 1 + k * nt + (np.arange(nt) + 1) % nt
-            g = widths[k] / (r[k] * dt)
-            rows_a.append(a)
-            rows_b.append(b)
-            gs.append(np.full(nt, g))
-        self.edge_a = np.concatenate(rows_a)
-        self.edge_b = np.concatenate(rows_b)
-        self.edge_g = np.concatenate(gs)
+        # center to first ring, radial edges ring k -> k+1, angular edges within each ring
+        self.edge_a = np.concatenate([np.zeros(nt, dtype=int), node[:-nt], node])
+        self.edge_b = np.concatenate([node[:nt], node[nt:], after])
+        self.edge_g = np.concatenate(
+            [np.full(nt, 0.5 * dt), np.repeat(face * dt / (r[1:] - r[:-1]), nt), np.repeat(widths / (r * dt), nt)]
+        )
         self.cell_widths = widths
         n = self.n_nodes
         i = np.concatenate([self.edge_a, self.edge_b, self.edge_a, self.edge_b])
@@ -319,47 +309,98 @@ class PolarGrid:
         areas[1:] = np.repeat(ring_area, self.n_t)
         return areas
 
+    @functools.cached_property
+    def node_z(self) -> np.ndarray:
+        """Complex node positions, built on first use by a disc plate."""
+        return self.node_r * np.exp(1j * self.node_t)
+
+    def _columns(self, center: float, half: float) -> np.ndarray:
+        """Angle indices within half of center, padded by one cell each side."""
+        lo = math.floor((center - half) / self.dtheta) - 1
+        hi = math.ceil((center + half) / self.dtheta) + 1
+        if hi - lo >= self.n_t - 1:
+            return np.arange(self.n_t)
+        return np.arange(lo, hi + 1) % self.n_t
+
+    def _arc_columns(self, arc: Arc) -> np.ndarray:
+        """Angle indices of the nodes whose angle lies in the arc."""
+        if arc.is_full_circle():
+            return np.arange(self.n_t)
+        cols = self._columns(arc.center_angle, arc.half_width)
+        return cols[_angles_in_arc(self.thetas[cols], arc)]
+
+    def _nodes(self, k0: int, k1: int, cols: np.ndarray) -> np.ndarray:
+        """Flat indices of the nodes on rings k0..k1-1 at the given angle indices."""
+        return (1 + np.arange(k0, k1)[:, None] * self.n_t + cols).ravel()
+
     def rasterize(self, plate, name: str = "plate", min_cells: int = 4) -> np.ndarray:
+        """Mask of the grid nodes inside a plate.
+
+        Only a window of rings and angles around the plate is tested, so
+        the cost follows the plate's size, not the grid's; the test on
+        each candidate node is the full-grid one.
+        """
         mask = np.zeros(self.n_nodes, dtype=bool)
         if isinstance(plate, HyperbolicDisc):
             c, rad = plate.euclidean()
-            zs = self.node_r * np.exp(1j * self.node_t)
-            mask = np.abs(zs - c) <= rad
+            a = abs(c)
+            # rings within rad of |c|, angles within the tangent angle of arg c
+            k0 = int(np.searchsorted(self.ring_r, a - rad - 1e-12))
+            k1 = int(np.searchsorted(self.ring_r, a + rad + 1e-12, side="right"))
+            if rad >= a * (1.0 - 1e-9):
+                cols = np.arange(self.n_t)
+            else:
+                cols = self._columns(cmath.phase(c), math.asin(rad / a))
+            idx = np.concatenate([[0], self._nodes(k0, k1, cols)])
+            mask[idx] = np.abs(self.node_z[idx] - c) <= rad
         elif isinstance(plate, CarlesonBox):
-            ang = _angles_in_arc(self.node_t, plate.base_arc)
-            mask = (self.node_r >= plate.inner_radius - 1e-15) & ang
+            k0 = int(np.searchsorted(self.ring_r, plate.inner_radius - 1e-15))
+            mask[self._nodes(k0, self.n_rings, self._arc_columns(plate.base_arc))] = True
             mask[0] = plate.inner_radius == 0.0
         elif isinstance(plate, Arc):
-            boundary = self.node_r >= 1.0 - 1e-15
-            mask = boundary & _angles_in_arc(self.node_t, plate)
+            k0 = int(np.searchsorted(self.ring_r, 1.0 - 1e-15))
+            mask[self._nodes(k0, self.n_rings, self._arc_columns(plate))] = True
         else:
             raise DomainError(f"unsupported plate type: {type(plate).__name__}")
-        if mask.sum() < min_cells:
+        cells = int(np.count_nonzero(mask))
+        if cells < min_cells:
             raise ResolutionError(
-                f"{name} covers only {int(mask.sum())} grid cells (< {min_cells}); refine the grid"
+                f"{name} covers only {cells} grid cells (< {min_cells}); refine the grid"
             )
         return mask
 
     def solve(self, mask0: np.ndarray, mask1: np.ndarray) -> tuple[np.ndarray, float]:
-        """Harmonic values with u=0 on mask0, u=1 on mask1; returns (u, energy)."""
+        """Harmonic values with u=0 on mask0, u=1 on mask1; returns (u, energy).
+
+        The Laplacian restricted to the free nodes is symmetric positive
+        definite (the grid graph is connected and the fixed set is not
+        empty), so it is factored without pivoting under a minimum-degree
+        ordering of A + A^T.  Every edge with no end at a free or mask1
+        node joins two zeros, so the energy sums only the edges at those
+        nodes, read from their Laplacian rows.
+        """
         if (mask0 & mask1).any():
             return np.zeros(self.n_nodes), 0.0
         u = np.zeros(self.n_nodes)
         u[mask1] = 1.0
-        fixed = mask0 | mask1
-        free = ~fixed
-        if free.any():
+        free = np.flatnonzero(~(mask0 | mask1))
+        if len(free):
             rows = self.laplacian[free]
-            rhs = -(rows[:, fixed] @ u[fixed])
-            u[free] = scipy.sparse.linalg.spsolve(rows[:, free].tocsc(), rhs)
-        return u, self.energy_of(u)
-
-    def energy_of(self, u: np.ndarray) -> float:
-        d = u[self.edge_a] - u[self.edge_b]
-        return float(np.sum(self.edge_g * d * d))
-
-    def l2_norm_sq(self, u: np.ndarray) -> float:
-        return float(np.sum(self.node_areas() * u * u))
+            lu = scipy.sparse.linalg.splu(
+                rows[:, free].tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+            u[free] = lu.solve(-(rows @ u))
+        live = ~mask0
+        nodes = np.flatnonzero(live)
+        rows = self.laplacian[nodes]
+        heads = np.repeat(nodes, np.diff(rows.indptr))
+        d = u[heads] - u[rows.indices]
+        # off-diagonal entries are -g; an edge with both ends live sits in two rows
+        share = np.where(live[rows.indices], 0.5, 1.0)
+        return u, float(np.sum(-rows.data * d * d * share))
 
 
 def _angles_in_arc(thetas: np.ndarray, arc: Arc) -> np.ndarray:

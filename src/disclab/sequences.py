@@ -14,6 +14,7 @@ import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from . import capacity, geometry
 from .errors import DomainError, InputError, NumericalError, ResolutionError
@@ -441,39 +442,52 @@ def _generate_union(params: dict) -> Sequence:
 
 @dataclass
 class InterpolantBlocks:
-    """Fixed condenser-potential blocks for one (sequence, gamma, grid)."""
+    """Fixed condenser-potential blocks for one (sequence, gamma, grid).
+
+    Row i of block_values holds the block of z_i on its support region;
+    gram is the W^{1,2} form on the blocks, B (L + diag(areas)) B^T.
+    """
 
     grid: capacity.PolarGrid
-    block_values: np.ndarray  # (n_points, n_nodes)
+    block_values: scipy.sparse.csr_matrix  # (n_points, n_nodes)
     block_energies: np.ndarray
+    gram: np.ndarray  # (n_points, n_points)
 
 
 def _build_blocks(seq: Sequence, gamma: float, resolution) -> InterpolantBlocks:
     n_r, n_t = resolution
     min_depth = min(0.5, min(p.depth for p in seq.points) / 8.0)
     grid = capacity.PolarGrid(n_r, n_t, max(min_depth, 1e-6))
-    support_masks = []
-    for i, z in enumerate(seq.points):
-        support_masks.append(
-            grid.rasterize(geometry.expanded_box(z, gamma), f"support region of point {i}")
-        )
-    blocks = np.zeros((len(seq), grid.n_nodes))
+    supports = [
+        np.flatnonzero(grid.rasterize(geometry.expanded_box(z, gamma), f"support region of point {i}"))
+        for i, z in enumerate(seq.points)
+    ]
+    # a node claimed by two regions belongs to neither, so the regions are pairwise disjoint
+    claims = np.bincount(np.concatenate(supports), minlength=grid.n_nodes)
+    supports = [s[claims[s] == 1] for s in supports]
+    rows = []
     energies = np.zeros(len(seq))
-    for i, z in enumerate(seq.points):
-        support = support_masks[i].copy()
-        for j, other in enumerate(support_masks):
-            if j != i:
-                support &= ~other  # keep the regions pairwise disjoint
-        inner = grid.rasterize(geometry.unit_hyperbolic_disc(z), f"core disc of point {i}")
-        inner &= support
-        if inner.sum() < 1:
+    for i, (z, support) in enumerate(zip(seq.points, supports)):
+        inside = np.zeros(grid.n_nodes, dtype=bool)
+        inside[support] = True
+        inner = grid.rasterize(geometry.unit_hyperbolic_disc(z), f"core disc of point {i}") & inside
+        if not inner.any():
             raise ResolutionError(
                 f"core disc of point {i} (depth {z.depth:.3g}) lost to neighboring supports; refine the grid"
             )
-        u, energy = grid.solve(~support, inner)
-        blocks[i] = u
-        energies[i] = energy
-    return InterpolantBlocks(grid, blocks, energies)
+        u, energies[i] = grid.solve(~inside, inner)
+        rows.append(u[support])
+    indptr = np.concatenate([[0], np.cumsum([len(s) for s in supports])])
+    blocks = scipy.sparse.csr_matrix(
+        (np.concatenate(rows), np.concatenate(supports), indptr), shape=(len(seq), grid.n_nodes)
+    )
+    # the Dirichlet part from the blocks' differences along the edges they touch
+    covered = claims == 1
+    on = covered[grid.edge_a] | covered[grid.edge_b]
+    cols = blocks.tocsc()
+    diff = cols[:, grid.edge_a[on]] - cols[:, grid.edge_b[on]]
+    gram = (diff.multiply(grid.edge_g[on]) @ diff.T + blocks.multiply(grid.node_areas()) @ blocks.T).toarray()
+    return InterpolantBlocks(grid, blocks, energies, gram)
 
 
 def assemble_sobolev_interpolant(
@@ -497,6 +511,6 @@ def assemble_sobolev_interpolant(
     if blocks is None:
         blocks = _build_blocks(seq, gamma, resolution)
     coeffs = data * np.sqrt(np.asarray(seq.norms))
-    values = coeffs @ blocks.block_values
-    energy = blocks.grid.energy_of(values) + blocks.grid.l2_norm_sq(values)
+    values = blocks.block_values.T @ coeffs
+    energy = float(coeffs @ blocks.gram @ coeffs)
     return capacity.GridPotential(blocks.grid, values, energy), energy

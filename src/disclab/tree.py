@@ -38,11 +38,6 @@ class TreeNode:
         if self.n < 0 or self.k < 1 or (self.k - 1) >> self.n:
             raise DomainError(f"invalid tree node (n={self.n}, k={self.k})")
 
-    def parent(self) -> "TreeNode":
-        if self.n == 0:
-            raise DomainError("the root has no parent")
-        return TreeNode(self.n - 1, (self.k + 1) // 2)
-
     def child_plus(self) -> "TreeNode":
         return TreeNode(self.n + 1, 2 * self.k)
 

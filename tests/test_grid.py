@@ -1,0 +1,180 @@
+"""The polar grid solver against its full-grid references in grid_oracle."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import grid_oracle
+from conftest import angles, disc_points
+from disclab import capacity, geometry, sequences
+from disclab.errors import ResolutionError
+from disclab.geometry import ORIGIN, Arc, CarlesonBox, DiscPoint, HyperbolicDisc
+
+REL = 1e-12
+
+
+@st.composite
+def grids(draw):
+    """Grids from 8x16 to 128x512 with log-uniform minimum depth."""
+    n_r = draw(st.integers(8, 128))
+    n_t = draw(st.integers(16, 512))
+    min_depth = math.exp(draw(st.floats(math.log(1e-6), math.log(0.5))))
+    return capacity.PolarGrid(n_r, n_t, min_depth)
+
+
+@st.composite
+def arcs(draw, grid):
+    """Arcs of any length up to the full circle; some sit exactly on node angles."""
+    if draw(st.booleans()):
+        # centre and ends on node angles, so the arc test decides at its boundary
+        j = draw(st.integers(0, grid.n_t - 1))
+        m = draw(st.integers(1, grid.n_t // 2))
+        return Arc(j * grid.dtheta, min(1.0, 2.0 * m / grid.n_t))
+    length = draw(st.one_of(st.just(1.0), st.floats(1e-4, 1.0)))
+    return Arc(draw(st.one_of(angles(), st.floats(-0.3, 0.3))), length)
+
+
+@st.composite
+def plates(draw, grid):
+    kind = draw(st.sampled_from(["disc", "box", "arc"]))
+    if kind == "disc":
+        center = draw(st.one_of(st.just(ORIGIN), disc_points(min_depth=1e-3), disc_points(min_depth=0.3)))
+        if draw(st.booleans()):
+            # on a node ray, so the disc's nearest and farthest points can fall on nodes
+            center = DiscPoint(draw(st.integers(0, grid.n_t - 1)) * grid.dtheta, center.depth)
+        return HyperbolicDisc(center, draw(st.floats(0.05, 4.0)))
+    if kind == "box":
+        inner = draw(
+            st.one_of(
+                st.just(0.0),
+                st.sampled_from(list(grid.ring_r)),
+                st.floats(0.0, 1.0),
+            )
+        )
+        return CarlesonBox(draw(arcs(grid)), inner)
+    return draw(arcs(grid))
+
+
+def _check_mask(grid, plate):
+    want = grid_oracle.rasterize(grid, plate)
+    got = grid.rasterize(plate, min_cells=0)
+    assert got.dtype == bool and got.shape == want.shape
+    assert np.array_equal(got, want)
+    if np.count_nonzero(want) < 4:
+        with pytest.raises(ResolutionError):
+            grid.rasterize(plate)
+    else:
+        assert np.array_equal(grid.rasterize(plate), want)
+
+
+class TestRasterize:
+    # a window that is too narrow misses only the few nodes at a plate's edge
+    @settings(max_examples=500)
+    @given(st.data())
+    def test_matches_full_grid_mask(self, data):
+        grid = data.draw(grids())
+        _check_mask(grid, data.draw(plates(grid)))
+
+    @pytest.mark.parametrize(
+        "shape, plate",
+        [
+            ((8, 16, 0.5), HyperbolicDisc(ORIGIN, 1.0)),  # centred on the centre node
+            ((128, 512, 1e-6), HyperbolicDisc(DiscPoint(0.01, 0.2), 3.0)),  # holds the centre node
+            ((64, 256, 1e-3), HyperbolicDisc(DiscPoint(6.27, 0.05), 1.0)),  # straddles theta = 0
+            ((128, 512, 1e-3), HyperbolicDisc(DiscPoint(1.0, 0.5), 0.508)),  # seen over 2 * asin(0.9)
+            ((32, 64, 0.01), CarlesonBox(Arc(0.0, 1.0), 0.0)),  # the whole disc
+            ((32, 64, 0.01), CarlesonBox(Arc(6.2, 0.1), 0.0)),  # wraps across 0, with the centre node
+            ((16, 16, 0.1), Arc(6.0, 0.3)),  # wraps across 0
+            ((16, 16, 0.1), Arc(1.0, 1.0)),  # the full circle
+            ((16, 16, 0.1), Arc(0.0, 1e-4)),  # below the resolution
+        ],
+    )
+    def test_edge_cases(self, shape, plate):
+        _check_mask(capacity.PolarGrid(*shape), plate)
+
+
+def _criterion_07_configuration():
+    """The first configuration criterion 07 draws."""
+    rng = np.random.default_rng(0)
+    z = DiscPoint(rng.uniform(0, 2 * math.pi), 2.0 ** rng.uniform(-4.5, -3.0))
+    points = []
+    for _ in range(int(rng.integers(1, 4))):
+        depth = 2.0 ** rng.uniform(-6.0, math.log2(z.depth / 2.0))
+        theta = z.theta + rng.uniform(0.6, 1.5) * rng.choice([-1.0, 1.0])
+        points.append(DiscPoint(theta, depth))
+    return z, points
+
+
+def _check_solve(grid, mask0, mask1):
+    u, energy = grid.solve(mask0, mask1)
+    assert energy > 0.0
+    assert energy == pytest.approx(grid_oracle.energy(grid, u), rel=REL)
+    pivoted = grid_oracle.solve(grid, mask0, mask1)
+    assert energy == pytest.approx(grid_oracle.energy(grid, pivoted), rel=REL)
+    return u
+
+
+class TestSolveEnergy:
+    @pytest.mark.parametrize("plate_set", ["boxes", "discs", "arcs"])
+    def test_criterion_07_configuration(self, plate_set):
+        z, points = _criterion_07_configuration()
+        make = {
+            "boxes": geometry.carleson_box,
+            "discs": geometry.unit_hyperbolic_disc,
+            "arcs": geometry.boundary_arc,
+        }[plate_set]
+        spec = capacity.CondenserSpec(geometry.unit_hyperbolic_disc(z), [make(p) for p in points])
+        grid = capacity.PolarGrid(128, 256, capacity._plate_min_depth(spec))
+        mask0 = grid_oracle.rasterize(grid, spec.plate_inner)
+        mask1 = np.zeros(grid.n_nodes, dtype=bool)
+        for t in spec.plate_outer:
+            mask1 |= grid_oracle.rasterize(grid, t)
+        _check_solve(grid, mask0, mask1)
+
+    def test_interpolant_blocks(self, setup):
+        seq, blocks, oracle_blocks = setup
+        grid = blocks.grid
+        for i, (mask0, mask1) in enumerate(oracle_blocks.masks):
+            u = _check_solve(grid, mask0, mask1)
+            assert blocks.block_energies[i] == pytest.approx(grid_oracle.energy(grid, u), rel=REL)
+            assert np.abs(blocks.block_values[[i]].toarray().ravel() - oracle_blocks.values[i]).max() < 1e-12
+
+
+class _OracleBlocks:
+    """The blocks as full-length masks and dense values: each support loses
+    every node of the other supports, and each block is solved by spsolve."""
+
+    def __init__(self, seq, gamma, grid):
+        supports = [grid_oracle.rasterize(grid, geometry.expanded_box(z, gamma)) for z in seq.points]
+        self.masks = []
+        self.values = np.zeros((len(seq), grid.n_nodes))
+        for i, z in enumerate(seq.points):
+            support = supports[i].copy()
+            for j, other in enumerate(supports):
+                if j != i:
+                    support &= ~other
+            inner = grid_oracle.rasterize(grid, geometry.unit_hyperbolic_disc(z)) & support
+            self.masks.append((~support, inner))
+            self.values[i] = grid_oracle.solve(grid, ~support, inner)
+
+
+@pytest.fixture(scope="module")
+def setup():
+    seq = sequences.generate("disjoint_boxes", {"count": 6}, seed=11)
+    blocks = sequences._build_blocks(seq, 0.75, (48, 192))
+    return seq, blocks, _OracleBlocks(seq, 0.75, blocks.grid)
+
+
+class TestGramEnergy:
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6).filter(lambda a: any(a)))
+    def test_matches_edge_sum_plus_l2(self, setup, data):
+        seq, blocks, oracle_blocks = setup
+        pot, energy = sequences.assemble_sobolev_interpolant(seq, data, blocks=blocks)
+        coeffs = np.asarray(data) * np.sqrt(np.asarray(seq.norms))
+        values = coeffs @ oracle_blocks.values
+        assert np.abs(pot.values - values).max() <= 1e-12 * np.abs(coeffs).max()
+        grid = blocks.grid
+        want = grid_oracle.energy(grid, pot.values) + grid_oracle.l2_norm_sq(grid, pot.values)
+        assert energy == pytest.approx(want, rel=REL)

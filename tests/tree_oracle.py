@@ -8,7 +8,14 @@ with the virtual tree that the library folds and solves on.
 
 import numpy as np
 
-from disclab.tree import TreeCondenser
+from disclab.errors import DomainError
+from disclab.tree import TreeCondenser, TreeNode
+
+
+def parent(node: TreeNode) -> TreeNode:
+    if node.n == 0:
+        raise DomainError("the root has no parent")
+    return TreeNode(node.n - 1, (node.k + 1) // 2)
 
 
 def path_union(cond: TreeCondenser):
@@ -19,7 +26,7 @@ def path_union(cond: TreeCondenser):
         node = t
         while node not in seen:
             seen.add(node)
-            parent_of[node] = node.parent()
+            parent_of[node] = parent(node)
             node = parent_of[node]
     return parent_of
 
