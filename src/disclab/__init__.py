@@ -18,11 +18,9 @@ from .geometry import (
     HyperbolicDisc,
     boundary_arc,
     carleson_box,
-    dirichlet_metric,
     expanded_box,
     harmonic_measure,
     hyperbolic_distance,
-    kernel,
     kernel_norm_sq,
     mobius,
 )

@@ -8,8 +8,10 @@ Points are stored as (theta, depth) with depth = 1 - |z|.  This keeps
 points that are exponentially close to the boundary (depth ~ 2^-800)
 representable, which cartesian coordinates cannot do; all pairwise
 formulas route through a cancellation-free evaluation of 1 - w*conj(z).
-PointSet holds many points as arrays and evaluates the same formulas
-elementwise; the scalar functions are its reference.
+PointSet holds points as arrays and is the one implementation of the
+pairwise formulas; mobius and hyperbolic_distance evaluate it at one
+pair.  Box containment has one elementwise test, boxes_contain, and arc
+unions are grouped over the pairs that one sweep finds.
 """
 
 from __future__ import annotations
@@ -119,10 +121,8 @@ class PointSet:
 
     The arrays broadcast against each other and against another
     PointSet's, so ``pts[rows, None].kernel(pts)`` evaluates a block of
-    pairs.  Each method follows the algebra and the branches of the
-    scalar function of the same name, which stays as its test reference;
-    they agree to a few ulps, not exactly, as numpy's exp, log and hypot are not
-    the C library's.
+    pairs.  The methods are the library's only implementation of the
+    pairwise formulas.
     """
 
     theta: np.ndarray
@@ -158,52 +158,73 @@ class PointSet:
         return [DiscPoint(t, d) for t, d in zip(self.theta.ravel().tolist(), self.depth.ravel().tolist())]
 
     def one_minus_conj_prod(self, other: "PointSet") -> np.ndarray:
-        """1 - conj(z)*w for z in self and w in other."""
+        """1 - conj(z)*w for z in self and w in other, without cancellation.
+
+        conj(z)*w = (1-s_z)(1-s_w) e^{i(tw-tz)}; splitting off 1 - e^{i*delta}
+        = -2i sin(delta/2) e^{i*delta/2} keeps full accuracy when both points
+        are deep and nearly aligned.
+        """
         delta = other.theta - self.theta
         s = self.depth + other.depth - self.depth * other.depth
-        # in real arithmetic, operation for operation as Python evaluates the
-        # complex expression: near the kernel's series cutoff its log turns
-        # an ulp here into thousands in the kernel
+        # -2i sin(delta/2) h + s h^2 with h = e^{i*delta/2}, in real arithmetic
+        # operation for operation as Python evaluates the complex expression:
+        # near the kernel's series cutoff its log turns an ulp here into
+        # thousands in the kernel
         hc, hs = np.cos(0.5 * delta), np.sin(0.5 * delta)
         sc, ss = s * hc, s * hs
         return (2.0 * hs * hs + (sc * hc - ss * hs)) + 1j * (-2.0 * hs * hc + (sc * hs + ss * hc))
 
     def _diff(self, other: "PointSet") -> np.ndarray:
-        """z - w for z in self and w in other."""
+        """z - w for z in self and w in other, stable for deep nearly-aligned points."""
         half = np.exp(0.5j * (self.theta + other.theta))
         rot = 2j * np.sin(0.5 * (self.theta - other.theta)) * half
         return rot + other.depth * np.exp(1j * other.theta) - self.depth * np.exp(1j * self.theta)
 
     def mobius(self, other: "PointSet") -> "PointSet":
-        """phi_z(w) for z in self and w in other."""
+        """phi_z(w) = (z - w)/(1 - conj(z) w) for z in self and w in other.
+
+        The disc automorphism that exchanges z and the origin; an
+        involution in w.
+        """
         num = self._diff(other)
         den = self.one_minus_conj_prod(other)
         a = np.abs(den)
         rho = np.abs(num) / a
+        # below rho = 0.5 the quotient keeps full relative accuracy; above it
+        # 1 - |phi|^2 = (1-|z|^2)(1-|w|^2)/|den|^2 is cancellation-free, divided
+        # factor by factor so extreme depths do not underflow, and beyond float
+        # range pinned to the deepest representable point
         t = (self.depth * (2.0 - self.depth) / a) * (other.depth * (2.0 - other.depth) / a)
         t = np.minimum(np.maximum(t, 5e-324), 1.0)
         depth = np.where(rho < 0.5, 1.0 - rho, t / (1.0 + np.sqrt(1.0 - t)))
         theta = _wrap_angles(np.where(rho == 0.0, 0.0, np.angle(num / den)))
         if not np.all(depth > 0.0):
-            # the clamped depth can round to 0, where the scalar map's DiscPoint refuses it
+            # the clamped depth can round to 0, which DiscPoint refuses
             k = np.flatnonzero(~(depth > 0.0))[0]
             raise DomainError(f"point not in open disc: theta={theta.flat[k]}, depth={depth.flat[k]}")
         return PointSet(theta, depth)
 
     def kernel(self, other: "PointSet") -> np.ndarray:
-        """k(w, z) for w in self and z in other."""
+        """Dirichlet reproducing kernel k(w, z) = log(1/(1 - w conj(z)))/(w conj(z)).
+
+        For w in self and z in other.  Hermitian; equals 1 when the
+        product w*conj(z) vanishes (power-series limit).
+        """
         q = (1.0 - self.depth) * (1.0 - other.depth) * np.exp(1j * (self.theta - other.theta))
+        # sum q^n/(n+1); |q| < 1e-4 makes 4 terms exact to machine precision
         series = 1.0 + q * (0.5 + q * (1.0 / 3.0 + q * 0.25))
         closed = _quotient(-np.log(other.one_minus_conj_prod(self)), q)  # q == 0 takes the series
         return np.where(np.abs(q) < _KERNEL_SERIES_CUTOFF, series, closed)
 
     def dirichlet_metric(self, other: "PointSet") -> np.ndarray:
+        """d_D(z,w) = sqrt(1 - |<k_z,k_w>|^2 / (||k_z||^2 ||k_w||^2)), in [0, 1)."""
         g = np.abs(self.kernel(other)) ** 2 / (self.norm_sq * other.norm_sq)
         metric = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(g, 1.0)))
         same = (self.theta == other.theta) & (self.depth == other.depth)
         return np.where(same, 0.0, metric)
 
     def hyperbolic_distance(self, other: "PointSet") -> np.ndarray:
+        """d(z,w) = (1/2) log((1+rho)/(1-rho)) with rho = |phi_z(w)|."""
         m = self.mobius(other)
         with np.errstate(over="ignore"):  # inf past depth ~1e-308, as for Python floats
             return 0.5 * np.log((2.0 - m.depth) / m.depth)
@@ -241,61 +262,10 @@ def point_from_json(d: dict) -> DiscPoint:
     raise InputError(f"cannot parse point: {d!r}")
 
 
-def one_minus_conj_prod(z: DiscPoint, w: DiscPoint) -> complex:
-    """1 - conj(z)*w, evaluated without cancellation.
-
-    conj(z)*w = (1-s_z)(1-s_w) e^{i(tw-tz)}; splitting off 1 - e^{i*delta}
-    = -2i sin(delta/2) e^{i*delta/2} keeps full accuracy when both points
-    are deep and nearly aligned.
-    """
-    delta = w.theta - z.theta
-    s = z.depth + w.depth - z.depth * w.depth
-    half = cmath.exp(0.5j * delta)
-    return -2j * math.sin(0.5 * delta) * half + s * half * half
-
-
-def _diff(z: DiscPoint, w: DiscPoint) -> complex:
-    """z - w as a complex number, stable for deep nearly-aligned points."""
-    half = cmath.exp(0.5j * (z.theta + w.theta))
-    rot = 2j * math.sin(0.5 * (z.theta - w.theta)) * half
-    return rot + w.depth * cmath.exp(1j * w.theta) - z.depth * cmath.exp(1j * z.theta)
-
-
 def mobius(z: DiscPoint, w: DiscPoint) -> DiscPoint:
-    """The disc automorphism phi_z(w) = (z - w)/(1 - conj(z) w).
-
-    Exchanges z and the origin, and is an involution in w.
-    """
-    num = _diff(z, w)
-    den = one_minus_conj_prod(z, w)
-    rho = abs(num) / abs(den)
-    if rho < 0.5:
-        # the quotient keeps full relative accuracy near the origin
-        if rho == 0.0:
-            return ORIGIN
-        return DiscPoint(cmath.phase(num / den), 1.0 - rho)
-    # 1 - |phi|^2 = (1-|z|^2)(1-|w|^2)/|den|^2, cancellation-free near the
-    # circle; divide factor by factor so extreme depths do not underflow
-    a = abs(den)
-    t = (z.depth * (2.0 - z.depth) / a) * (w.depth * (2.0 - w.depth) / a)
-    # beyond float range the result is pinned to the deepest representable point
-    t = min(max(t, 5e-324), 1.0)
-    depth = t / (1.0 + math.sqrt(1.0 - t))
-    return DiscPoint(cmath.phase(num / den), depth)
-
-
-def kernel(w: DiscPoint, z: DiscPoint) -> complex:
-    """Dirichlet reproducing kernel k(w, z) = log(1/(1 - w conj(z)))/(w conj(z)).
-
-    Hermitian: kernel(w, z) == conj(kernel(z, w)).  Equals 1 when the
-    product w*conj(z) vanishes (power-series limit).
-    """
-    q = (1.0 - w.depth) * (1.0 - z.depth) * cmath.exp(1j * (w.theta - z.theta))
-    if abs(q) < _KERNEL_SERIES_CUTOFF:
-        # sum q^n/(n+1); |q|<1e-4 makes 4 terms exact to machine precision
-        return 1.0 + q * (0.5 + q * (1.0 / 3.0 + q * 0.25))
-    one_minus_q = one_minus_conj_prod(z, w)
-    return -cmath.log(one_minus_q) / q
+    """phi_z(w) for one pair of points; see PointSet.mobius."""
+    (image,) = PointSet.from_points([z]).mobius(PointSet.from_points([w])).points()
+    return image
 
 
 def kernel_norm_sq(z: DiscPoint) -> float:
@@ -308,18 +278,9 @@ def kernel_norm_sq(z: DiscPoint) -> float:
     return -(math.log(s) + math.log(2.0 - s)) / x
 
 
-def dirichlet_metric(z: DiscPoint, w: DiscPoint) -> float:
-    """d_D(z,w) = sqrt(1 - |<k_z,k_w>|^2 / (||k_z||^2 ||k_w||^2)), in [0, 1)."""
-    if z == w:
-        return 0.0
-    g = abs(kernel(z, w)) ** 2 / (kernel_norm_sq(z) * kernel_norm_sq(w))
-    return math.sqrt(max(0.0, 1.0 - min(g, 1.0)))
-
-
 def hyperbolic_distance(z: DiscPoint, w: DiscPoint) -> float:
-    """Hyperbolic distance with d(z,w) = (1/2) log((1+rho)/(1-rho)), rho=|phi_z(w)|."""
-    m = mobius(z, w)
-    return 0.5 * math.log((2.0 - m.depth) / m.depth)
+    """Hyperbolic distance d(z, w) for one pair of points; see PointSet.hyperbolic_distance."""
+    return float(PointSet.from_points([z]).hyperbolic_distance(PointSet.from_points([w]))[0])
 
 
 @dataclass(frozen=True)
@@ -362,14 +323,6 @@ class Arc:
         gap = abs(_signed_angle(other.center_angle - self.center_angle))
         return gap <= self.half_width + other.half_width
 
-    def contains_arc(self, other: "Arc") -> bool:
-        if self.is_full_circle():
-            return True
-        if other.is_full_circle():
-            return False
-        gap = abs(_signed_angle(other.center_angle - self.center_angle))
-        return gap + other.half_width <= self.half_width * (1 + 1e-12) + 1e-14
-
     def to_json(self) -> dict:
         return {"center_angle": self.center_angle, "length": self.length}
 
@@ -391,50 +344,37 @@ def merge_arcs(arcs: list[Arc]) -> list[Arc]:
     if not arcs:
         return []
     merged = _merge_intervals(arcs)
-    while True:  # hulls can create fresh overlaps; iterate to a fixpoint
-        again = _merge_intervals(merged)
-        if len(again) == len(merged):
-            break
-        merged = again
+    count = len(arcs)
+    while len(merged) < count:  # hulls can create fresh overlaps; iterate to a fixpoint
+        count = len(merged)
+        merged = _merge_intervals(merged)
     if len(merged) == 1 and merged[0].length >= 1.0 - 1e-12:
         return [Arc(0.0, 1.0)]
     return merged
-
-
-def _unrolled(center: np.ndarray, half_width: np.ndarray):
-    """Arc extents on the line, sorted by start, as (start, end, arc index).
-
-    Each arc appears at its center in [0, 2*pi), and once more a turn up
-    when that copy can reach another arc, so every pair that meets on
-    the circle overlaps as a pair of extents.
-    """
-    start = center - half_width
-    end = center + half_width
-    up = np.flatnonzero(start + TWO_PI <= end.max() + _SWEEP_SLACK)
-    arc = np.concatenate([np.arange(len(center)), up])
-    start = np.concatenate([start, start[up] + TWO_PI])
-    end = np.concatenate([end, end[up] + TWO_PI])
-    order = np.argsort(start, kind="stable")
-    return start[order], end[order], arc[order]
-
-
-def _arcs_meet(center, half_width, i, j) -> np.ndarray:
-    """Arc.intersects for the index pairs (i, j), with its float expression."""
-    return np.abs(_signed_angles(center[j] - center[i])) <= half_width[i] + half_width[j]
 
 
 def intersecting_arc_pairs(center: np.ndarray, half_width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs i < j of the arcs that meet, in ascending order.
 
     center and half_width are as Arc stores them.  A sort-and-sweep over
-    the unrolled extents proposes the pairs whose extents overlap, in
-    O(k log k + proposals); each is confirmed with the float test of
+    the arc extents on the line proposes the pairs whose extents overlap,
+    in O(k log k + proposals); each is confirmed with the float test of
     Arc.intersects, so the pairs are those that testing all k^2 gives.
     """
     k = len(center)
     if k < 2:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    start, end, arc = _unrolled(center, half_width)
+    # each arc's extent at its center in [0, 2*pi), and once more a turn up
+    # when that copy can reach another arc, so every pair that meets on
+    # the circle overlaps as a pair of extents
+    start = center - half_width
+    end = center + half_width
+    up = np.flatnonzero(start + TWO_PI <= end.max() + _SWEEP_SLACK)
+    arc = np.concatenate([np.arange(k), up])
+    start = np.concatenate([start, start[up] + TWO_PI])
+    end = np.concatenate([end, end[up] + TWO_PI])
+    order = np.argsort(start, kind="stable")
+    start, end, arc = start[order], end[order], arc[order]
     # extent t overlaps the later extents t+1 .. stop[t]-1, which start before it ends
     stop = np.searchsorted(start, end + _SWEEP_SLACK, side="right")
     first = np.arange(1, len(start) + 1)
@@ -444,47 +384,8 @@ def intersecting_arc_pairs(center: np.ndarray, half_width: np.ndarray) -> tuple[
     i, j = arc[a], arc[b]
     keep = i != j
     lo, hi = np.divmod(np.unique(np.minimum(i, j)[keep] * k + np.maximum(i, j)[keep]), k)
-    hit = _arcs_meet(center, half_width, lo, hi)
+    hit = np.abs(_signed_angles(center[hi] - center[lo])) <= half_width[lo] + half_width[hi]
     return lo[hit], hi[hit]
-
-
-def _meeting_groups(center: np.ndarray, half_width: np.ndarray) -> list[int]:
-    """A group label for each arc: the classes of transitive Arc.intersects.
-
-    One sweep over the unrolled extents: an extent joins the running
-    cluster when it overlaps the furthest-reaching earlier extent by more
-    than the slack, where the float test is sure to pass, and opens a new
-    cluster when it starts beyond that reach.  A cluster with an overlap
-    too thin to call that way is settled by testing all its pairs.
-    """
-    k = len(center)
-    start, end, arc = _unrolled(center, half_width)
-    reach = np.maximum.accumulate(end)
-    front = np.maximum.accumulate(np.where(end == reach, np.arange(len(end)), 0))
-    gap = start[1:] - reach[:-1]
-    overlap = np.minimum(-gap, start[1:] - start[front[:-1]] + 2.0 * half_width[arc[1:]])
-    cluster = np.concatenate(([0], np.cumsum(gap > _SWEEP_SLACK)))
-    unsure = np.zeros(cluster[-1] + 1, dtype=bool)
-    unsure[cluster[1:][(gap <= _SWEEP_SLACK) & (overlap < _SWEEP_SLACK)]] = True
-    head = arc[np.searchsorted(cluster, cluster)]
-
-    group = list(range(k))
-
-    def find(i):
-        while group[i] != i:
-            group[i] = group[group[i]]
-            i = group[i]
-        return i
-
-    for i, j in zip(arc[~unsure[cluster]].tolist(), head[~unsure[cluster]].tolist()):
-        group[find(i)] = find(j)
-    for c in np.flatnonzero(unsure):
-        members = np.unique(arc[cluster == c])
-        i, j = np.triu_indices(len(members), 1)
-        hit = _arcs_meet(center, half_width, members[i], members[j])
-        for a, b in zip(members[i][hit].tolist(), members[j][hit].tolist()):
-            group[find(a)] = find(b)
-    return [find(i) for i in range(k)]
 
 
 def _merge_intervals(arcs: list[Arc]) -> list[Arc]:
@@ -496,12 +397,23 @@ def _merge_intervals(arcs: list[Arc]) -> list[Arc]:
     """
     if any(a.is_full_circle() for a in arcs):
         return [Arc(0.0, 1.0)]
-    groups = _meeting_groups(
+    first, second = intersecting_arc_pairs(
         np.array([a.center_angle for a in arcs]), np.array([a.half_width for a in arcs])
     )
+    group = list(range(len(arcs)))
+
+    def find(i):
+        while group[i] != i:
+            group[i] = group[group[i]]
+            i = group[i]
+        return i
+
+    for i, j in zip(first.tolist(), second.tolist()):
+        group[find(i)] = find(j)
+    # members keep their input order, which fixes each hull's reference arc
     clusters: dict[int, list[Arc]] = {}
-    for g, a in zip(groups, arcs):
-        clusters.setdefault(g, []).append(a)
+    for i, a in enumerate(arcs):
+        clusters.setdefault(find(i), []).append(a)
     out = []
     for members in clusters.values():
         if len(members) == 1:
@@ -559,18 +471,15 @@ class CarlesonBox:
         # both boxes reach the circle, so arc overlap is enough
         return self.base_arc.intersects(other.base_arc)
 
-    def contains_box(self, other: "CarlesonBox") -> bool:
-        return (
-            self.base_arc.contains_arc(other.base_arc)
-            and self.inner_radius <= other.inner_radius * (1 + 1e-12)
-        )
-
 
 def boxes_contain(outer_center, outer_length, outer_radius, center, length, radius) -> np.ndarray:
-    """CarlesonBox.contains_box elementwise, with its float expressions.
+    """Whether each outer box contains the inner box, elementwise.
 
     Each box is given by its base arc (center angle, length) and inner
-    radius; the arrays broadcast.
+    radius; the arrays broadcast.  A full outer arc contains every arc
+    and a full inner arc fits in no smaller one.  The outer half-width
+    and inner radius get 1e-12 relative slack, and the angles 1e-14 rad
+    for the rounding of angle sums near 2*pi.
     """
     gap = np.abs(_signed_angles(center - outer_center))
     arc_in = (outer_length >= 1.0) | (
@@ -614,9 +523,6 @@ class HyperbolicDisc:
         a2 = abs(z) ** 2
         den = 1.0 - rho * rho * a2
         return z * (1.0 - rho * rho) / den, rho * (1.0 - a2) / den
-
-    def contains_point(self, p: DiscPoint) -> bool:
-        return hyperbolic_distance(self.center, p) <= self.radius
 
 
 def unit_hyperbolic_disc(z: DiscPoint) -> HyperbolicDisc:

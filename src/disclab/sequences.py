@@ -8,6 +8,7 @@ W^{1,2} interpolants from condenser equilibrium blocks.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import warnings as _warnings
@@ -45,28 +46,25 @@ class Sequence:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "_vicinity_cache", {})
 
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
+    # cached_property stores into __dict__, past the frozen __setattr__
+    @functools.cached_property
     def pointset(self) -> geometry.PointSet:
         """The points as arrays, for the pairwise checks."""
-        cached = getattr(self, "_pointset", None)
-        if cached is None:
-            cached = geometry.PointSet.from_points(self.points)
-            object.__setattr__(self, "_pointset", cached)
-        return cached
+        return geometry.PointSet.from_points(self.points)
 
-    @property
+    @functools.cached_property
     def norms(self) -> tuple:
         """Kernel norms d(z_i); the weights of the associated measure."""
-        cached = getattr(self, "_norms", None)
-        if cached is None:
-            cached = tuple(self.pointset.norm_sq.tolist())
-            object.__setattr__(self, "_norms", cached)
-        return cached
+        return tuple(self.pointset.norm_sq.tolist())
+
+    @functools.cached_property
+    def _vicinity_cache(self) -> dict:
+        """The swept vicinity lists by gamma, filled by _vicinities."""
+        return {}
 
     def to_json(self) -> dict:
         out = {"label": self.label, "points": [geometry.point_to_json(p) for p in self.points]}

@@ -17,8 +17,8 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from . import geometry
-from .errors import DomainError, NumericalError
+from . import geometry, sequences
+from .errors import DomainError, InputError, NumericalError
 from .geometry import Arc, CarlesonBox, DiscPoint
 
 LOG2 = math.log(2.0)
@@ -40,9 +40,6 @@ class TreeNode:
 
     def child_plus(self) -> "TreeNode":
         return TreeNode(self.n + 1, 2 * self.k)
-
-    def child_minus(self) -> "TreeNode":
-        return TreeNode(self.n + 1, 2 * self.k - 1)
 
     def ancestor_at(self, level: int) -> "TreeNode":
         if not 0 <= level <= self.n:
@@ -222,7 +219,7 @@ class CombSpec:
         return out
 
     def teeth(self) -> list[TreeNode]:
-        # N child_minus steps below w = (n, k) reach (n + N, 2^N (k - 1) + 1)
+        # N steps (n, k) -> (n + 1, 2k - 1) below w = (n, k) reach (n + N, 2^N (k - 1) + 1)
         return [TreeNode(w.n + self.big_n, ((w.k - 1) << self.big_n) + 1) for w in self.spine()[1:]]
 
     def condenser(self) -> TreeCondenser:
@@ -313,11 +310,14 @@ def tree_disc_distance_check(n_max: int = 60) -> dict:
 # ---------------------------------------------------------------------------
 # disc-side scenario
 
+# points drawn for the scenario's disjoint-box lattice, and the bound on
+# each comb's mass times sqrt(d(anchor))
+LATTICE_COUNT = 8
+MASS_BUDGET = 64.0
+
 
 def comb_disc_sequence(spec: CombSpec, include_anchor: bool = True):
     """The comb embedded in the disc: anchor (optional) plus teeth."""
-    from . import sequences
-
     nodes = ([spec.anchor] if include_anchor else []) + spec.teeth()
     pts = tuple(node.embed() for node in nodes)
     return sequences.Sequence(pts, f"comb(N={spec.big_n})")
@@ -347,8 +347,6 @@ def counterexample_scenario(
     m_list=(4, 5, 6),
     gamma: float = 0.75,
     eta: float = 0.9,
-    lattice_count: int = 8,
-    mass_budget: float = 64.0,
     seed: int = 0,
 ) -> ScenarioReport:
     """Union of a disjoint-box lattice with combs at separated anchors.
@@ -358,13 +356,10 @@ def counterexample_scenario(
     condenser capacity at every anchor violates the 1/level decay by a
     factor growing like the square root of the level.
     """
-    from .errors import InputError
-    from . import sequences
-
     combs = []
     for i, m in enumerate(m_list):
         big_n = m * m
-        if math.isqrt(big_n) != m or m < 4:
+        if m < 4:
             raise InputError(f"comb size must be an integer >= 4, got {m}")
         # deeper teeth would need angle increments below float resolution
         # relative to a nonzero anchor angle
@@ -381,7 +376,7 @@ def counterexample_scenario(
             if geometry.expanded_box(a, eta).intersects(geometry.expanded_box(b, eta)):
                 raise InputError("anchor placement infeasible: expanded boxes overlap")
 
-    lattice = sequences.generate("disjoint_boxes", {"count": lattice_count, "eta": eta}, seed)
+    lattice = sequences.generate("disjoint_boxes", {"count": LATTICE_COUNT, "eta": eta}, seed)
     comb_seqs = [comb_disc_sequence(c) for c in combs]
     union = sequences.generate("union", {"parts": [lattice] + comb_seqs})
 
@@ -398,7 +393,7 @@ def counterexample_scenario(
         mass_records.append(
             {"N": c.big_n, "mass": mass, "d_anchor": d_anchor, "ratio": mass_ratio}
         )
-        ok &= mass_ratio <= mass_budget
+        ok &= mass_ratio <= MASS_BUDGET
         c0 = comb_capacity_recursive(c.big_n)
         tree_ratio = c0 * c.m  # cap * level / sqrt(level)
         tree_records.append(
@@ -416,8 +411,8 @@ def counterexample_scenario(
         "m_list": list(m_list),
         "gamma": gamma,
         "eta": eta,
-        "lattice_count": lattice_count,
-        "mass_budget": mass_budget,
+        "lattice_count": LATTICE_COUNT,
+        "mass_budget": MASS_BUDGET,
         "seed": seed,
     }
     return ScenarioReport(ws, mass_records, tree_records, teeth_cc, bool(ok), params)

@@ -1,0 +1,94 @@
+"""Independent scalar references for the disc formulas.
+
+One pair at a time in Python complex arithmetic, with the C library's
+exp, log and hypot: the Dirichlet kernel and its metric, the Mobius map
+and hyperbolic distance that `PointSet` evaluates over arrays, and the
+box containment that `boxes_contain` tests elementwise.  None of them
+calls `PointSet`, `boxes_contain` or the arc sweep.
+"""
+
+import cmath
+import math
+
+from disclab.geometry import ORIGIN, Arc, CarlesonBox, DiscPoint, _signed_angle, kernel_norm_sq
+
+# |w*conj(z)| below which the kernel power series replaces the log formula
+KERNEL_SERIES_CUTOFF = 1e-4
+
+
+def one_minus_conj_prod(z: DiscPoint, w: DiscPoint) -> complex:
+    """1 - conj(z)*w, evaluated without cancellation.
+
+    conj(z)*w = (1-s_z)(1-s_w) e^{i(tw-tz)}; splitting off 1 - e^{i*delta}
+    = -2i sin(delta/2) e^{i*delta/2} keeps full accuracy when both points
+    are deep and nearly aligned.
+    """
+    delta = w.theta - z.theta
+    s = z.depth + w.depth - z.depth * w.depth
+    half = cmath.exp(0.5j * delta)
+    return -2j * math.sin(0.5 * delta) * half + s * half * half
+
+
+def diff(z: DiscPoint, w: DiscPoint) -> complex:
+    """z - w as a complex number, stable for deep nearly-aligned points."""
+    half = cmath.exp(0.5j * (z.theta + w.theta))
+    rot = 2j * math.sin(0.5 * (z.theta - w.theta)) * half
+    return rot + w.depth * cmath.exp(1j * w.theta) - z.depth * cmath.exp(1j * z.theta)
+
+
+def mobius(z: DiscPoint, w: DiscPoint) -> DiscPoint:
+    """The disc automorphism phi_z(w) = (z - w)/(1 - conj(z) w)."""
+    num = diff(z, w)
+    den = one_minus_conj_prod(z, w)
+    rho = abs(num) / abs(den)
+    if rho < 0.5:
+        # the quotient keeps full relative accuracy near the origin
+        if rho == 0.0:
+            return ORIGIN
+        return DiscPoint(cmath.phase(num / den), 1.0 - rho)
+    # 1 - |phi|^2 = (1-|z|^2)(1-|w|^2)/|den|^2, cancellation-free near the
+    # circle; divide factor by factor so extreme depths do not underflow
+    a = abs(den)
+    t = (z.depth * (2.0 - z.depth) / a) * (w.depth * (2.0 - w.depth) / a)
+    t = min(max(t, 5e-324), 1.0)
+    depth = t / (1.0 + math.sqrt(1.0 - t))
+    return DiscPoint(cmath.phase(num / den), depth)
+
+
+def kernel(w: DiscPoint, z: DiscPoint) -> complex:
+    """Dirichlet reproducing kernel k(w, z) = log(1/(1 - w conj(z)))/(w conj(z))."""
+    q = (1.0 - w.depth) * (1.0 - z.depth) * cmath.exp(1j * (w.theta - z.theta))
+    if abs(q) < KERNEL_SERIES_CUTOFF:
+        # sum q^n/(n+1); |q|<1e-4 makes 4 terms exact to machine precision
+        return 1.0 + q * (0.5 + q * (1.0 / 3.0 + q * 0.25))
+    return -cmath.log(one_minus_conj_prod(z, w)) / q
+
+
+def dirichlet_metric(z: DiscPoint, w: DiscPoint) -> float:
+    """d_D(z,w) = sqrt(1 - |<k_z,k_w>|^2 / (||k_z||^2 ||k_w||^2)), in [0, 1)."""
+    if z == w:
+        return 0.0
+    g = abs(kernel(z, w)) ** 2 / (kernel_norm_sq(z) * kernel_norm_sq(w))
+    return math.sqrt(max(0.0, 1.0 - min(g, 1.0)))
+
+
+def hyperbolic_distance(z: DiscPoint, w: DiscPoint) -> float:
+    """(1/2) log((1+rho)/(1-rho)) with rho = |phi_z(w)|."""
+    m = mobius(z, w)
+    return 0.5 * math.log((2.0 - m.depth) / m.depth)
+
+
+def contains_arc(outer: Arc, inner: Arc) -> bool:
+    if outer.is_full_circle():
+        return True
+    if inner.is_full_circle():
+        return False
+    gap = abs(_signed_angle(inner.center_angle - outer.center_angle))
+    return gap + inner.half_width <= outer.half_width * (1 + 1e-12) + 1e-14
+
+
+def contains_box(outer: CarlesonBox, inner: CarlesonBox) -> bool:
+    return (
+        contains_arc(outer.base_arc, inner.base_arc)
+        and outer.inner_radius <= inner.inner_radius * (1 + 1e-12)
+    )

@@ -1,14 +1,15 @@
 """Independent references for the pairwise sequence layer.
 
 These are the scalar loops the array layer replaced: every pair goes
-through the scalar geometry functions, vicinities are rebuilt per point,
-arcs are merged by an all-pairs union-find, and normalize rebuilds the
-sequence for each candidate prefix.  They share no sweep, block or
-cached list with the library.
+through the scalar formulas of geometry_oracle, vicinities are rebuilt
+per point, arcs are merged by an all-pairs union-find, and normalize
+rebuilds the sequence for each candidate prefix.  They share no sweep,
+block or cached list with the library.
 """
 
 import math
 
+import geometry_oracle
 from disclab import capacity, geometry, sequences
 from disclab.errors import DomainError, NumericalError
 from disclab.geometry import TWO_PI, Arc, _signed_angle
@@ -35,7 +36,7 @@ def restricted_vicinity(seq: Sequence, i: int, gamma: float) -> list[int]:
     out = []
     for j in vic:
         plain = geometry.carleson_box(seq.points[j])
-        if not any(k != j and boxes[k].contains_box(plain) for k in vic):
+        if not any(k != j and geometry_oracle.contains_box(boxes[k], plain) for k in vic):
             out.append(j)
     return out
 
@@ -49,10 +50,10 @@ def weak_separation(seq: Sequence, delta: float) -> sequences.CheckReport:
         for j, zj in enumerate(seq.points):
             if j == i:
                 continue
-            best = min(best, geometry.dirichlet_metric(zi, zj))
+            best = min(best, geometry_oracle.dirichlet_metric(zi, zj))
             if zi != zj:
-                dh = geometry.hyperbolic_distance(zi, zj)
-                hyp_min = min(hyp_min, dh / (geometry.hyperbolic_distance(zi, geometry.ORIGIN) + 1.0))
+                dh = geometry_oracle.hyperbolic_distance(zi, zj)
+                hyp_min = min(hyp_min, dh / (geometry_oracle.hyperbolic_distance(zi, geometry.ORIGIN) + 1.0))
             else:
                 hyp_min = 0.0
         metric_min = min(metric_min, best)
@@ -76,7 +77,7 @@ def capacitary_condition(seq: Sequence, gamma: float, budget: float = 64.0) -> s
             records.append({"index": i, "lhs": 0.0, "rhs": 1.0 / d_i, "ratio": 0.0})
             continue
         try:
-            arcs = [geometry.boundary_arc(geometry.mobius(zi, seq.points[j])) for j in vic]
+            arcs = [geometry.boundary_arc(geometry_oracle.mobius(zi, seq.points[j])) for j in vic]
             lhs = capacity.log_capacity(arcs)
         except (NumericalError, DomainError) as exc:
             warnings.append(f"capacity solver failed at index {i}: {exc}")

@@ -15,7 +15,7 @@ from disclab import capacity, geometry, sequences, tree
 from disclab.geometry import ORIGIN, Arc, DiscPoint
 from disclab.sequences import Sequence
 from disclab.tree import CombSpec, TreeCondenser, TreeNode
-from tree_oracle import dense_capacity
+from tree_oracle import child_minus, dense_capacity
 
 TANH_ONE = (math.e**2 - 1.0) / (math.e**2 + 1.0)
 
@@ -77,7 +77,7 @@ def test_criterion_03_recursion_vs_exact_solver(capsys):
         for _ in range(int(rng.integers(1, 9))):
             node = source
             for _ in range(int(rng.integers(1, 13))):
-                node = node.child_plus() if rng.random() < 0.5 else node.child_minus()
+                node = node.child_plus() if rng.random() < 0.5 else child_minus(node)
             targets.append(node)
         cond = TreeCondenser(source, tuple(targets))
         assert tree.path_union_size(cond) <= 500

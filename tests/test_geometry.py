@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import geometry_oracle
 import sequence_oracle
 from conftest import arc_lengths, angles, disc_points
 from disclab import geometry
 from disclab.errors import DomainError, InputError
 from disclab.geometry import ORIGIN, Arc, CarlesonBox, DiscPoint, PointSet
 from quadrature_oracle import adaptive_integrate
+
+
+def one(p: DiscPoint) -> PointSet:
+    return PointSet.from_points([p])
 
 
 class TestDiscPoint:
@@ -65,24 +70,24 @@ class TestMobius:
 class TestKernel:
     def test_at_origin(self):
         z = DiscPoint.from_xy(0.3, -0.2)
-        assert geometry.kernel(ORIGIN, z) == pytest.approx(1.0)
+        assert one(ORIGIN).kernel(one(z))[0] == pytest.approx(1.0)
 
     def test_half_half(self):
         z = DiscPoint.from_xy(0.5, 0.0)
-        assert geometry.kernel(z, z).real == pytest.approx(4.0 * math.log(4.0 / 3.0), abs=1e-12)
+        assert one(z).kernel(one(z))[0].real == pytest.approx(4.0 * math.log(4.0 / 3.0), abs=1e-12)
 
     @given(disc_points(min_depth=1e-3), disc_points(min_depth=1e-3))
     def test_hermitian(self, z, w):
-        a = geometry.kernel(w, z)
-        b = geometry.kernel(z, w)
+        a = one(w).kernel(one(z))[0]
+        b = one(z).kernel(one(w))[0]
         assert abs(a - b.conjugate()) < 1e-10 * max(1.0, abs(a))
 
     def test_gram_positive_semidefinite(self):
         rng = np.random.default_rng(11)
-        pts = [
-            DiscPoint(rng.uniform(0, 2 * math.pi), rng.uniform(0.05, 0.9)) for _ in range(8)
-        ]
-        gram = np.array([[geometry.kernel(a, b) for b in pts] for a in pts])
+        pts = PointSet.from_points(
+            [DiscPoint(rng.uniform(0, 2 * math.pi), rng.uniform(0.05, 0.9)) for _ in range(8)]
+        )
+        gram = pts[:, None].kernel(pts)
         eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
         assert eigs.min() >= -1e-9
 
@@ -104,30 +109,29 @@ class TestKernel:
 class TestDirichletMetric:
     def test_zero_iff_equal(self):
         z = DiscPoint(0.7, 0.3)
-        assert geometry.dirichlet_metric(z, z) == 0.0
+        assert one(z).dirichlet_metric(one(z))[0] == 0.0
         w = DiscPoint(0.7, 0.31)
-        assert geometry.dirichlet_metric(z, w) > 0.0
+        assert one(z).dirichlet_metric(one(w))[0] > 0.0
 
     def test_origin_to_deep(self):
         deep = DiscPoint(0.0, 2.0**-5)
         expected = math.sqrt(1.0 - 1.0 / geometry.kernel_norm_sq(deep))
-        assert geometry.dirichlet_metric(ORIGIN, deep) == pytest.approx(expected, abs=1e-12)
+        assert one(ORIGIN).dirichlet_metric(one(deep))[0] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.8145, abs=1e-3)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(5)
-        for _ in range(300):
-            a, b, c = (
-                DiscPoint(rng.uniform(0, 2 * math.pi), rng.uniform(1e-3, 1.0)) for _ in range(3)
-            )
-            assert geometry.dirichlet_metric(a, c) <= (
-                geometry.dirichlet_metric(a, b) + geometry.dirichlet_metric(b, c) + 1e-12
-            )
+        triples = [
+            [DiscPoint(rng.uniform(0, 2 * math.pi), rng.uniform(1e-3, 1.0)) for _ in range(3)]
+            for _ in range(300)
+        ]
+        a, b, c = (PointSet.from_points(corner) for corner in zip(*triples))
+        assert np.all(a.dirichlet_metric(c) <= a.dirichlet_metric(b) + b.dirichlet_metric(c) + 1e-12)
 
     @given(disc_points(min_depth=1e-4), disc_points(min_depth=1e-4))
     def test_symmetric(self, z, w):
-        assert geometry.dirichlet_metric(z, w) == pytest.approx(
-            geometry.dirichlet_metric(w, z), abs=1e-12
+        assert one(z).dirichlet_metric(one(w))[0] == pytest.approx(
+            one(w).dirichlet_metric(one(z))[0], abs=1e-12
         )
 
 
@@ -199,7 +203,7 @@ class TestBoxes:
 
     def test_expanded_contains_plain(self):
         z = DiscPoint(1.0, 0.1)
-        assert geometry.expanded_box(z, 0.75).contains_box(geometry.carleson_box(z))
+        assert geometry_oracle.contains_box(geometry.expanded_box(z, 0.75), geometry.carleson_box(z))
 
     @given(disc_points(min_depth=1e-5, max_depth=0.5), st.floats(0.1, 0.9))
     def test_expanded_box_grows_with_smaller_eta(self, z, eta):
@@ -259,7 +263,7 @@ class TestHarmonicMeasure:
             assert 1.0 / 64.0 <= hm / image_len <= 64.0
 
 
-# Agreement of the array functions with the scalar ones, in units of the
+# Agreement of PointSet with the scalar oracle, in units of the
 # spacing of the larger magnitude; numpy's exp, log, hypot and atan2 are
 # not the C library's, and the worst seen over 10^5 pairs is 8.
 ULPS = 16
@@ -274,7 +278,7 @@ def near(actual, expected, scale=None):
 
 def mobius_partner(z, u):
     """The point w with phi_z(w) = u, so rho(z, w) = |u|."""
-    return geometry.mobius(z, u)
+    return geometry_oracle.mobius(z, u)
 
 
 # depths down to 1e-300, and near the origin, where |w conj(z)| falls on
@@ -300,14 +304,14 @@ class TestPointSetMatchesScalar:
         for i, z in enumerate(points):
             assert pts.norm_sq[i] == geometry.kernel_norm_sq(z)
             for j, w in enumerate(points):
-                expected = geometry.one_minus_conj_prod(z, w)
+                expected = geometry_oracle.one_minus_conj_prod(z, w)
                 assert near(omcp[i, j], expected)
-                assert near(diff[i, j], geometry._diff(z, w))
-                assert near(kern[i, j], geometry.kernel(z, w))
+                assert near(diff[i, j], geometry_oracle.diff(z, w))
+                assert near(kern[i, j], geometry_oracle.kernel(z, w))
                 # the metric is sqrt(1 - g), so compare 1 - g
-                assert near(metric[i, j] ** 2, geometry.dirichlet_metric(z, w) ** 2, scale=1.0)
+                assert near(metric[i, j] ** 2, geometry_oracle.dirichlet_metric(z, w) ** 2, scale=1.0)
                 try:
-                    image = geometry.mobius(z, w)
+                    image = geometry_oracle.mobius(z, w)
                 except DomainError:  # the scalar map's depth clamp left the disc
                     with pytest.raises(DomainError):
                         pts[i].mobius(pts[j])
@@ -315,14 +319,14 @@ class TestPointSetMatchesScalar:
                 got = pts[i].mobius(pts[j])
                 assert near(got.depth, image.depth)
                 assert near(geometry._signed_angle(got.theta - image.theta), 0.0, scale=geometry.TWO_PI)
-                dist = geometry.hyperbolic_distance(z, w)
+                dist = geometry_oracle.hyperbolic_distance(z, w)
                 assert near(pts[i].hyperbolic_distance(pts[j]), dist, scale=max(dist, 1.0))
 
     def test_mobius_depth_underflow_raises(self):
         # far apart at depth 1e-300 the image depth underflows past the clamp
         pts = PointSet.from_points([DiscPoint(0.0, 1e-300), DiscPoint(3.0, 1e-300)])
         with pytest.raises(DomainError) as scalar:
-            geometry.mobius(DiscPoint(0.0, 1e-300), DiscPoint(3.0, 1e-300))
+            geometry_oracle.mobius(DiscPoint(0.0, 1e-300), DiscPoint(3.0, 1e-300))
         with pytest.raises(DomainError, match="not in open disc") as array:
             pts[:1].mobius(pts[1:])
         assert str(array.value) == str(scalar.value)
@@ -339,7 +343,7 @@ class TestBoxesContain:
         got = geometry.boxes_contain(
             outer.base_arc.center_angle, outer_length, outer_radius, inner.base_arc.center_angle, length, radius
         )
-        assert bool(got) == outer.contains_box(inner)
+        assert bool(got) == geometry_oracle.contains_box(outer, inner)
 
 
 def touching(arc, length, side=1.0):

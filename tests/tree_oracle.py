@@ -3,7 +3,8 @@
 The full path union is built by walking every target up to the source
 one parent at a time, and the grounded Laplacian on it is solved densely
 with unit conductances.  Nothing is compressed, so these share no code
-with the virtual tree that the library folds and solves on.
+with the virtual tree that the library folds and solves on.  The tree
+steps that only tests take, parent and child_minus, are here too.
 """
 
 import numpy as np
@@ -16,6 +17,11 @@ def parent(node: TreeNode) -> TreeNode:
     if node.n == 0:
         raise DomainError("the root has no parent")
     return TreeNode(node.n - 1, (node.k + 1) // 2)
+
+
+def child_minus(node: TreeNode) -> TreeNode:
+    """The child over the first half of the node's dyadic arc."""
+    return TreeNode(node.n + 1, 2 * node.k - 1)
 
 
 def path_union(cond: TreeCondenser):
