@@ -13,10 +13,17 @@ calibration of the inverse equilibrium energy against the grid solver on
 single arcs (frozen constants below).
 
 The grid's cost follows the plates, not the grid: a plate is rasterized
-by testing only a window of rings and angles around it, the Laplacian
-on the free nodes is symmetric positive definite and is factored
-without pivoting under a minimum-degree ordering, and the energy sums
-only the edges at free or Dirichlet-one nodes.
+by testing only a window of rings and angles around it, and no global
+Laplacian is assembled.  The five-point stencil rows of any node set
+come from the ring radii and the ring and angle indices, so a grid's
+set-up is O(n_r + n_t) plus the node coordinates.  A solve builds the
+symmetric positive definite system on the free nodes from their rows
+and factors it once, without pivoting, under a minimum-degree ordering;
+part labels cut the edges between parts, so one factorisation serves a
+whole set of interpolant blocks.  The energy sums only the rows of free
+or Dirichlet-one nodes.  scipy is imported only inside the functions
+that build or factor sparse matrices, so importing disclab does not
+load it.
 """
 
 from __future__ import annotations
@@ -27,8 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import geometry
 from .errors import DomainError, NumericalError, ResolutionError
@@ -272,34 +277,50 @@ class PolarGrid:
         self.dtheta = 2.0 * math.pi / n_t
         self.thetas = np.arange(n_t) * self.dtheta
         self.n_nodes = 1 + self.n_rings * n_t
-        self._build_edges()
+        r = self.ring_r
+        prev = np.concatenate([[0.0], r[:-1]])
+        nxt = np.concatenate([r[1:], [1.0]])
+        self.cell_widths = 0.5 * (nxt - prev)
+        # conductances by ring: to the inner neighbour (the centre for ring 0)
+        # and along the ring
+        face = 0.5 * (r[:-1] + r[1:])
+        self._g_radial = np.concatenate([[0.5 * self.dtheta], face * self.dtheta / (r[1:] - r[:-1])])
+        self._g_angular = self.cell_widths / (r * self.dtheta)
         # flat node coordinates for rasterization
         self.node_r = np.concatenate([[0.0], np.repeat(self.ring_r, n_t)])
         self.node_t = np.concatenate([[0.0], np.tile(self.thetas, self.n_rings)])
 
-    def _build_edges(self):
-        nt, dt = self.n_t, self.dtheta
-        r = self.ring_r
-        node = 1 + np.arange(self.n_rings * nt)  # ring nodes, ring by ring
-        after = node + 1  # angular neighbour, wrapping at the end of each ring
-        after[nt - 1 :: nt] -= nt
-        face = 0.5 * (r[:-1] + r[1:])
-        prev = np.concatenate([[0.0], r[:-1]])
-        nxt = np.concatenate([r[1:], [1.0]])
-        widths = 0.5 * (nxt - prev)
-        widths[-1] = 0.5 * (1.0 - r[-2])
-        # center to first ring, radial edges ring k -> k+1, angular edges within each ring
-        self.edge_a = np.concatenate([np.zeros(nt, dtype=int), node[:-nt], node])
-        self.edge_b = np.concatenate([node[:nt], node[nt:], after])
-        self.edge_g = np.concatenate(
-            [np.full(nt, 0.5 * dt), np.repeat(face * dt / (r[1:] - r[:-1]), nt), np.repeat(widths / (r * dt), nt)]
-        )
-        self.cell_widths = widths
-        n = self.n_nodes
-        i = np.concatenate([self.edge_a, self.edge_b, self.edge_a, self.edge_b])
-        j = np.concatenate([self.edge_b, self.edge_a, self.edge_a, self.edge_b])
-        v = np.concatenate([-self.edge_g, -self.edge_g, self.edge_g, self.edge_g])
-        self.laplacian = scipy.sparse.coo_matrix((v, (i, j)), shape=(n, n)).tocsr()
+    def _stencil(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Five-point stencil rows of the given nodes: (heads, tails, g).
+
+        One entry per edge end at a node: the edge from head to tail has
+        conductance g, so a node's Laplacian row is sum(g) on the diagonal
+        and -g at each tail.  nodes must increase; the entries come
+        grouped by head in that order.  Node j of ring k is
+        1 + k n_t + j; its neighbours are j -+ 1 on its ring, wrapping at
+        the ring's ends, and j on rings k -+ 1, where ring 0's inner
+        neighbour is the centre node and the last ring has no outer one.
+        The centre node's row holds its n_t spokes to ring 0.
+        """
+        nt = self.n_t
+        spokes = nt if len(nodes) and nodes[0] == 0 else 0  # the centre node comes first
+        ring_nodes = nodes[1:] if spokes else nodes
+        k, j = np.divmod(ring_nodes - 1, nt)
+        tails = ring_nodes[:, None] + np.array([-nt, -1, 1, nt])
+        tails[k == 0, 0] = 0
+        tails[j == 0, 1] += nt
+        tails[j == nt - 1, 2] -= nt
+        g = np.empty(tails.shape)
+        g[:, 0] = self._g_radial[k]
+        g[:, 1] = g[:, 2] = self._g_angular[k]
+        # the last ring's nodes come last and have no outer neighbour
+        inner = np.searchsorted(k, self.n_rings - 1)
+        g[:inner, 3] = self._g_radial[k[:inner] + 1]
+        heads = np.broadcast_to(ring_nodes[:, None], tails.shape)
+        heads = np.concatenate([np.zeros(spokes, dtype=nodes.dtype), heads[:inner].ravel(), heads[inner:, :3].ravel()])
+        tails = np.concatenate([np.arange(1, spokes + 1), tails[:inner].ravel(), tails[inner:, :3].ravel()])
+        g = np.concatenate([np.full(spokes, self._g_radial[0]), g[:inner].ravel(), g[inner:, :3].ravel()])
+        return heads, tails, g
 
     def node_areas(self) -> np.ndarray:
         """Control areas (plain dxdy measure) for L2 norms."""
@@ -369,38 +390,73 @@ class PolarGrid:
             )
         return mask
 
-    def solve(self, mask0: np.ndarray, mask1: np.ndarray) -> tuple[np.ndarray, float]:
+    def solve(
+        self, mask0: np.ndarray, mask1: np.ndarray, parts: np.ndarray | None = None
+    ) -> tuple[np.ndarray, float | np.ndarray]:
         """Harmonic values with u=0 on mask0, u=1 on mask1; returns (u, energy).
 
-        The Laplacian restricted to the free nodes is symmetric positive
-        definite (the grid graph is connected and the fixed set is not
-        empty), so it is factored without pivoting under a minimum-degree
-        ordering of A + A^T.  Every edge with no end at a free or mask1
-        node joins two zeros, so the energy sums only the edges at those
-        nodes, read from their Laplacian rows.
+        parts, if given, labels every node outside mask0 with an integer
+        >= 0.  An edge between two parts is cut: each side sees 0 across
+        it, as if the other part were in mask0, and energy is the array of
+        the parts' energies indexed by label.
+
+        The system on the free nodes is built from their stencil rows.  It
+        is symmetric positive definite (the grid graph is connected, the
+        fixed set is not empty, and a cut edge leaves its g on the
+        diagonal), so it is factored without pivoting under a
+        minimum-degree ordering of A + A^T.  Every edge with no end at a
+        free or mask1 node joins two zeros, so the energy sums only the
+        stencil rows of those nodes.
         """
+        # here, not at module level, so that importing disclab does not load
+        # scipy; and first, so that the import's objects do not land on the
+        # heap among the solve's arrays and keep it from shrinking
+        import scipy.sparse
+        import scipy.sparse.linalg
+
         if (mask0 & mask1).any():
-            return np.zeros(self.n_nodes), 0.0
+            return np.zeros(self.n_nodes), 0.0 if parts is None else np.zeros(parts.max() + 1)
         u = np.zeros(self.n_nodes)
         u[mask1] = 1.0
-        free = np.flatnonzero(~(mask0 | mask1))
-        if len(free):
-            rows = self.laplacian[free]
+        live = ~mask0
+        heads, tails, g = self._stencil(np.flatnonzero(live))
+        joined = live[tails]
+        if parts is not None:
+            joined &= parts[heads] == parts[tails]
+        free = live & ~mask1
+        n_free = int(np.count_nonzero(free))
+        if n_free:
+            # the matrix row of each free node, and a spare row for the fixed ones
+            pos = np.where(free, np.cumsum(free) - 1, n_free)
+            rows = pos[heads]
+            # each row holds its diagonal, then -g at its joined free tails: the
+            # e-th off-diagonal entry, in row r, follows e others and r + 1 diagonals
+            off = joined & free[tails] & free[heads]
+            off_rows = rows[off]
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(off_rows, minlength=n_free) + 1)])
+            slots = np.arange(len(off_rows)) + off_rows + 1
+            data = np.empty(indptr[-1])
+            indices = np.empty(indptr[-1], dtype=np.int32)
+            data[indptr[:-1]] = np.bincount(rows, weights=g, minlength=n_free + 1)[:n_free]
+            indices[indptr[:-1]] = np.arange(n_free)
+            data[slots] = -g[off]
+            indices[slots] = pos[tails[off]]
+            # the matrix is symmetric, so its CSR arrays are its CSC arrays
             lu = scipy.sparse.linalg.splu(
-                rows[:, free].tocsc(),
+                scipy.sparse.csc_matrix((data, indices, indptr), shape=(n_free, n_free)),
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
             )
-            u[free] = lu.solve(-(rows @ u))
-        live = ~mask0
-        nodes = np.flatnonzero(live)
-        rows = self.laplacian[nodes]
-        heads = np.repeat(nodes, np.diff(rows.indptr))
-        d = u[heads] - u[rows.indices]
-        # off-diagonal entries are -g; an edge with both ends live sits in two rows
-        share = np.where(live[rows.indices], 0.5, 1.0)
-        return u, float(np.sum(-rows.data * d * d * share))
+            rhs = np.bincount(rows, weights=g * (joined & mask1[tails]), minlength=n_free + 1)[:n_free]
+            u[free] = lu.solve(rhs)
+        d = u[heads] - np.where(joined, u[tails], 0.0)
+        # an edge joining two live nodes sits in both their rows: count it once
+        once = ~joined | (heads < tails)
+        terms = (g * d * d)[once]
+        if parts is None:
+            return u, float(np.sum(terms))
+        return u, np.bincount(parts[heads[once]], weights=terms, minlength=parts.max() + 1)
 
 
 def _angles_in_arc(thetas: np.ndarray, arc: Arc) -> np.ndarray:

@@ -15,7 +15,6 @@ import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from . import capacity, geometry
 from .errors import DomainError, InputError, NumericalError, ResolutionError
@@ -453,7 +452,10 @@ class InterpolantBlocks:
 
 
 def _build_blocks(seq: Sequence, gamma: float, resolution) -> InterpolantBlocks:
+    import scipy.sparse
+
     n_r, n_t = resolution
+    n = len(seq)
     min_depth = min(0.5, min(p.depth for p in seq.points) / 8.0)
     grid = capacity.PolarGrid(n_r, n_t, max(min_depth, 1e-6))
     supports = [
@@ -463,28 +465,32 @@ def _build_blocks(seq: Sequence, gamma: float, resolution) -> InterpolantBlocks:
     # a node claimed by two regions belongs to neither, so the regions are pairwise disjoint
     claims = np.bincount(np.concatenate(supports), minlength=grid.n_nodes)
     supports = [s[claims[s] == 1] for s in supports]
-    rows = []
-    energies = np.zeros(len(seq))
+    owner = np.full(grid.n_nodes, -1)
+    cores = np.zeros(grid.n_nodes, dtype=bool)
     for i, (z, support) in enumerate(zip(seq.points, supports)):
-        inside = np.zeros(grid.n_nodes, dtype=bool)
-        inside[support] = True
-        inner = grid.rasterize(geometry.unit_hyperbolic_disc(z), f"core disc of point {i}") & inside
+        owner[support] = i
+        inner = grid.rasterize(geometry.unit_hyperbolic_disc(z), f"core disc of point {i}") & (owner == i)
         if not inner.any():
             raise ResolutionError(
                 f"core disc of point {i} (depth {z.depth:.3g}) lost to neighboring supports; refine the grid"
             )
-        u, energies[i] = grid.solve(~inside, inner)
-        rows.append(u[support])
+        cores |= inner
+    # one solve for all blocks: the supports are its parts, so each block
+    # sees 0 across the edges to its neighbours, as if they were in mask0
+    covered = owner >= 0
+    u, energies = grid.solve(~covered, cores, owner)
     indptr = np.concatenate([[0], np.cumsum([len(s) for s in supports])])
-    blocks = scipy.sparse.csr_matrix(
-        (np.concatenate(rows), np.concatenate(supports), indptr), shape=(len(seq), grid.n_nodes)
-    )
-    # the Dirichlet part from the blocks' differences along the edges they touch
-    covered = claims == 1
-    on = covered[grid.edge_a] | covered[grid.edge_b]
-    cols = blocks.tocsc()
-    diff = cols[:, grid.edge_a[on]] - cols[:, grid.edge_b[on]]
-    gram = (diff.multiply(grid.edge_g[on]) @ diff.T + blocks.multiply(grid.node_areas()) @ blocks.T).toarray()
+    nodes = np.concatenate(supports)
+    blocks = scipy.sparse.csr_matrix((u[nodes], nodes, indptr), shape=(n, grid.n_nodes))
+    # a block's Dirichlet energy is its own diagonal entry; two blocks couple
+    # through the edges between their supports, each seen from both ends
+    l2 = np.bincount(owner[nodes], weights=grid.node_areas()[nodes] * u[nodes] ** 2, minlength=n)
+    gram = np.diag(energies + l2)
+    heads, tails, g = grid._stencil(np.flatnonzero(covered))
+    cross = covered[tails] & (owner[heads] != owner[tails])
+    heads, tails, g = heads[cross], tails[cross], g[cross]
+    coupling = np.bincount(owner[heads] * n + owner[tails], weights=g * u[heads] * u[tails], minlength=n * n)
+    gram -= coupling.reshape(n, n)
     return InterpolantBlocks(grid, blocks, energies, gram)
 
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import geometry, sequences
 from .errors import DomainError, InputError, NumericalError
@@ -149,6 +147,9 @@ def tree_capacity_exact(cond: TreeCondenser) -> float:
     (edge conductance 1/length) by sparse LU and returns its Dirichlet
     energy.
     """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     parent, length, is_target = _virtual_tree(cond)
     n = len(parent)
     child = np.arange(1, n)
@@ -296,11 +297,12 @@ def tree_disc_distance_check(n_max: int = 60) -> dict:
     """(log2/2) n <= d(0, z(n,k)) <= 2n for all levels up to n_max."""
     if not 1 <= n_max <= 60:
         raise DomainError(f"n_max out of [1, 60]: {n_max}")
+    levels = range(1, n_max + 1)
+    nodes = geometry.PointSet.from_points([TreeNode(n, 1).embed() for n in levels])
+    dists = geometry.PointSet.from_points([geometry.ORIGIN]).hyperbolic_distance(nodes).tolist()
     records = []
     ok = True
-    for n in range(1, n_max + 1):
-        z = TreeNode(n, 1).embed()
-        d = geometry.hyperbolic_distance(geometry.ORIGIN, z)
+    for n, d in zip(levels, dists):
         lo, hi = 0.5 * LOG2 * n, 2.0 * n
         ok &= lo <= d <= hi
         records.append({"n": n, "d": d, "lower": lo, "upper": hi})

@@ -286,3 +286,18 @@ def test_console_script_entry_matches_main():
     installed = md.entry_points().select(group="console_scripts", name="disclab")
     for ep in installed:
         assert ep.value == declared
+
+
+def test_import_loads_no_scipy():
+    # the checkers never factor a sparse matrix, so a fresh process running them
+    # should not pay for importing scipy
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, disclab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

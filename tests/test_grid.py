@@ -95,6 +95,40 @@ class TestRasterize:
         _check_mask(capacity.PolarGrid(*shape), plate)
 
 
+def _check_stencil_rows(grid, nodes):
+    heads, tails, g = grid._stencil(nodes)
+    # grouped by head, in the order of nodes, with no loop and no repeated edge
+    assert np.all(np.diff(heads) >= 0) and np.array_equal(np.unique(heads), nodes)
+    assert np.all(heads != tails)
+    rows = np.searchsorted(nodes, heads)
+    got = rows * grid.n_nodes + tails
+    assert len(np.unique(got)) == len(got)
+    want = grid_oracle.laplacian(grid)[nodes].tocoo()
+    want_rows, want_cols = want.row.astype(np.int64), want.col.astype(np.int64)
+    diag = want_cols == nodes[want_rows]
+    key = want_rows[~diag] * grid.n_nodes + want_cols[~diag]
+    order, want_order = np.argsort(got), np.argsort(key)
+    assert np.array_equal(got[order], key[want_order])
+    assert np.array_equal(-g[order], want.data[~diag][want_order])
+    want_diag = np.zeros(len(nodes))
+    want_diag[want_rows[diag]] = want.data[diag]
+    assert np.all(np.abs(np.bincount(rows, weights=g) - want_diag) <= np.spacing(want_diag))
+
+
+class TestStencil:
+    @pytest.mark.parametrize("shape", [(4, 8), (8, 16), (48, 192), (128, 512)])
+    def test_rows_match_assembled_laplacian(self, shape):
+        grid = capacity.PolarGrid(*shape)
+        n_t, last = grid.n_t, grid.n_nodes - grid.n_t
+        ring_nodes = 1 + np.arange(grid.n_rings) * n_t
+        special = np.concatenate(
+            [[0], np.arange(1, n_t + 1), np.arange(last, grid.n_nodes), ring_nodes, ring_nodes + n_t - 1]
+        )
+        sample = np.random.default_rng(shape[0]).choice(grid.n_nodes, size=grid.n_nodes // 5, replace=False)
+        for nodes in (np.arange(grid.n_nodes), np.unique(np.concatenate([special, sample])), np.array([3, 5])):
+            _check_stencil_rows(grid, nodes)
+
+
 def _criterion_07_configuration():
     """The first configuration criterion 07 draws."""
     rng = np.random.default_rng(0)
@@ -133,13 +167,33 @@ class TestSolveEnergy:
             mask1 |= grid_oracle.rasterize(grid, t)
         _check_solve(grid, mask0, mask1)
 
-    def test_interpolant_blocks(self, setup):
-        seq, blocks, oracle_blocks = setup
-        grid = blocks.grid
-        for i, (mask0, mask1) in enumerate(oracle_blocks.masks):
-            u = _check_solve(grid, mask0, mask1)
-            assert blocks.block_energies[i] == pytest.approx(grid_oracle.energy(grid, u), rel=REL)
-            assert np.abs(blocks.block_values[[i]].toarray().ravel() - oracle_blocks.values[i]).max() < 1e-12
+    def test_interpolant_blocks(self, setups):
+        for seq, blocks, oracle_blocks in setups:
+            grid = blocks.grid
+            for i, (mask0, mask1) in enumerate(oracle_blocks.masks):
+                u = _check_solve(grid, mask0, mask1)
+                assert blocks.block_energies[i] == pytest.approx(grid_oracle.energy(grid, u), rel=REL)
+                assert np.abs(blocks.block_values[[i]].toarray().ravel() - oracle_blocks.values[i]).max() < 1e-12
+
+    def test_parts_cut_shared_edges(self):
+        # part 0 wraps across angle 0; part 1 lies beside it on the same rings
+        # and under both, so the parts share angular and radial edges
+        grid = capacity.PolarGrid(16, 32, 0.05)
+        n_t, k0 = grid.n_t, 8
+        cols = [np.arange(-6, 4) % n_t, np.arange(4, 14)]
+        parts = np.full(grid.n_nodes, -1)
+        parts[grid._nodes(k0 - 3, k0, np.concatenate(cols))] = 1
+        cores = np.zeros(grid.n_nodes, dtype=bool)
+        for label, c in enumerate(cols):
+            parts[grid._nodes(k0, grid.n_rings, c)] = label
+            cores[grid._nodes(grid.n_rings - 2, grid.n_rings, c[2:-2])] = True
+        u, energies = grid.solve(parts < 0, cores, parts)
+        assert energies.shape == (2,)
+        for label in (0, 1):
+            inside = parts == label
+            want = grid_oracle.solve(grid, ~inside, cores & inside)
+            assert np.abs(u[inside] - want[inside]).max() < 1e-12
+            assert energies[label] == pytest.approx(grid_oracle.energy(grid, want), rel=REL)
 
 
 class _OracleBlocks:
@@ -161,20 +215,25 @@ class _OracleBlocks:
 
 
 @pytest.fixture(scope="module")
-def setup():
-    seq = sequences.generate("disjoint_boxes", {"count": 6}, seed=11)
-    blocks = sequences._build_blocks(seq, 0.75, (48, 192))
-    return seq, blocks, _OracleBlocks(seq, 0.75, blocks.grid)
+def setups():
+    """(sequence, blocks, oracle blocks) for two sequences of six points; at
+    seed 24 two supports sit side by side, so their blocks share edges."""
+    out = []
+    for seed in (11, 24):
+        seq = sequences.generate("disjoint_boxes", {"count": 6}, seed=seed)
+        blocks = sequences._build_blocks(seq, 0.75, (48, 192))
+        out.append((seq, blocks, _OracleBlocks(seq, 0.75, blocks.grid)))
+    return out
 
 
 class TestGramEnergy:
     @given(st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6).filter(lambda a: any(a)))
-    def test_matches_edge_sum_plus_l2(self, setup, data):
-        seq, blocks, oracle_blocks = setup
-        pot, energy = sequences.assemble_sobolev_interpolant(seq, data, blocks=blocks)
-        coeffs = np.asarray(data) * np.sqrt(np.asarray(seq.norms))
-        values = coeffs @ oracle_blocks.values
-        assert np.abs(pot.values - values).max() <= 1e-12 * np.abs(coeffs).max()
-        grid = blocks.grid
-        want = grid_oracle.energy(grid, pot.values) + grid_oracle.l2_norm_sq(grid, pot.values)
-        assert energy == pytest.approx(want, rel=REL)
+    def test_matches_edge_sum_plus_l2(self, setups, data):
+        for seq, blocks, oracle_blocks in setups:
+            pot, energy = sequences.assemble_sobolev_interpolant(seq, data, blocks=blocks)
+            coeffs = np.asarray(data) * np.sqrt(np.asarray(seq.norms))
+            values = coeffs @ oracle_blocks.values
+            assert np.abs(pot.values - values).max() <= 1e-12 * np.abs(coeffs).max()
+            grid = blocks.grid
+            want = grid_oracle.energy(grid, pot.values) + grid_oracle.l2_norm_sq(grid, pot.values)
+            assert energy == pytest.approx(want, rel=REL)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import example, given, strategies as st
 
 from disclab import geometry, sequences, tree
@@ -200,7 +201,7 @@ class TestCapacitySolvers:
         def singular(a):
             raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(tree.scipy.sparse.linalg, "splu", singular)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
         cond = CombSpec(tree.default_anchor(4)).condenser()
         with pytest.raises(NumericalError, match="singular"):
             tree.tree_capacity_exact(cond)
