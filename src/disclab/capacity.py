@@ -16,14 +16,25 @@ The grid's cost follows the plates, not the grid: a plate is rasterized
 by testing only a window of rings and angles around it, and no global
 Laplacian is assembled.  The five-point stencil rows of any node set
 come from the ring radii and the ring and angle indices, so a grid's
-set-up is O(n_r + n_t) plus the node coordinates.  A solve builds the
-symmetric positive definite system on the free nodes from their rows
-and factors it once, without pivoting, under a minimum-degree ordering;
-part labels cut the edges between parts, so one factorisation serves a
-whole set of interpolant blocks.  The energy sums only the rows of free
-or Dirichlet-one nodes.  scipy is imported only inside the functions
-that build or factor sparse matrices, so importing disclab does not
-load it.
+set-up is O(n_r + n_t) plus the node coordinates.
+
+A condenser solve is a capacitance-matrix method (Buzbee, Dorr, George
+& Golub, SIAM J. Numer. Anal. 8, 1971; Proskurowski & Widlund, Math.
+Comp. 30, 1976).  With the centre node grounded the grid operator is
+diagonal in the angular Fourier modes, one tridiagonal matrix over the
+rings per mode.  The plates enter only through the fixed nodes next to
+free ones, a few hundred at 128x256: the grounded Green's function on
+them, built from the modes by inverse FFTs, is Cholesky-factored for
+the charges that hold those nodes at their values, and one FFT, the
+tridiagonal solves and one inverse FFT give the field.  A solve with
+part labels cuts the edges between parts, so one factorisation serves a
+whole set of interpolant blocks; that system on the free nodes is built
+from their stencil rows and factored by SuperLU without pivoting under
+a minimum-degree ordering, which wins for few free nodes among many
+fixed ones.  The energy sums only the rows of free or Dirichlet-one
+nodes, and the same rows give the residual every solve is checked
+against.  scipy is imported only inside the functions that use it, so
+importing disclab does not load it.
 """
 
 from __future__ import annotations
@@ -48,6 +59,9 @@ CAP_SHIFT = -1.943
 CAP_DEN_FLOOR = CAP_SCALE / 22.9
 
 RIDGE_FACTOR = 1e-10
+
+# largest residual of a grid solve, relative to each free node's conductance sum
+RESIDUAL_BOUND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -199,31 +213,16 @@ def _disc_meets_box(c: complex, rho: float, box: CarlesonBox) -> bool:
     return arc.is_full_circle() or gap <= arc.half_width + alpha
 
 
-def _target_to_arc_and_clearance(z: DiscPoint, target) -> tuple[Arc | None, bool, bool]:
-    """(image arc, plates_touch, precondition_ok) for one outer-plate item."""
+def _representative(target) -> DiscPoint | None:
+    """The point whose Mobius image stands for a target; None for an arc."""
     if isinstance(target, DiscPoint):
-        if geometry.hyperbolic_distance(z, target) <= 2.0:
-            return None, True, True
-        ok = target.depth <= z.depth / 2.0
-        return geometry.boundary_arc(geometry.mobius(z, target)), False, ok
+        return target
     if isinstance(target, HyperbolicDisc):
-        touch = geometry.hyperbolic_distance(z, target.center) <= 1.0 + target.radius
-        if touch:
-            return None, True, True
-        ok = target.center.depth <= z.depth / 2.0
-        return geometry.boundary_arc(geometry.mobius(z, target.center)), False, ok
+        return target.center
     if isinstance(target, CarlesonBox):
-        if _disc_meets_box(*geometry.unit_hyperbolic_disc(z).euclidean(), target):
-            return None, True, True
-        depth_b = target.base_arc.length
-        w = DiscPoint(target.base_arc.center_angle, depth_b)
-        ok = depth_b <= z.depth / 2.0
-        # the arc of the image point; when w == z, as for a full-circle box
-        # around the origin, the image is the origin and its arc the whole circle
-        image = geometry.mobius(z, w)
-        return Arc(image.theta, image.depth), False, ok
+        return DiscPoint(target.base_arc.center_angle, target.base_arc.length)
     if isinstance(target, Arc):
-        return geometry.arc_mobius_image(z, target), False, True
+        return None
     raise DomainError(f"unsupported target type: {type(target).__name__}")
 
 
@@ -233,19 +232,35 @@ def condenser_capacity(z: DiscPoint, targets: list, quad_nodes_per_arc: int = 24
     Boxes and discs are reduced to the arcs of representative points; the
     reduction is a comparability, so a violated depth precondition is
     reported as a warning, not an error.  Plates that touch Delta_1(z)
-    give capacity 0 by convention.
+    give capacity 0 by convention.  The representative points' images
+    and distances from z come from one PointSet call each.
     """
     if not targets:
         raise DomainError("empty target list")
+    reps = [_representative(t) for t in targets]
+    at_z = geometry.PointSet.from_points([z])
+    points = geometry.PointSet.from_points([w for w in reps if w is not None])
+    images = iter(at_z.mobius(points).points())
+    distances = iter(at_z.hyperbolic_distance(points).tolist())
+    inner = geometry.unit_hyperbolic_disc(z).euclidean()
     arcs = []
     warnings = []
-    for t in targets:
-        arc, touch, ok = _target_to_arc_and_clearance(z, t)
+    for t, w in zip(targets, reps):
+        if w is None:
+            arcs.append(geometry.arc_mobius_image(z, t))
+            continue
+        image, distance = next(images), next(distances)
+        if isinstance(t, CarlesonBox):
+            touch = _disc_meets_box(*inner, t)
+        else:
+            touch = distance <= (1.0 + t.radius if isinstance(t, HyperbolicDisc) else 2.0)
         if touch:
             return CondenserResult(0.0, ("plates intersect; capacity 0 by convention",))
-        if not ok:
+        if w.depth > z.depth / 2.0:
             warnings.append("target depth exceeds half the base depth; comparability not guaranteed")
-        arcs.append(arc)
+        # the arc of the image point; when w == z, as for a full-circle box
+        # around the origin, the image is the origin and its arc the whole circle
+        arcs.append(Arc(image.theta, image.depth))
     value = log_capacity(arcs, quad_nodes_per_arc)
     return CondenserResult(value, tuple(dict.fromkeys(warnings)))
 
@@ -330,11 +345,6 @@ class PolarGrid:
         areas[1:] = np.repeat(ring_area, self.n_t)
         return areas
 
-    @functools.cached_property
-    def node_z(self) -> np.ndarray:
-        """Complex node positions, built on first use by a disc plate."""
-        return self.node_r * np.exp(1j * self.node_t)
-
     def _columns(self, center: float, half: float) -> np.ndarray:
         """Angle indices within half of center, padded by one cell each side."""
         lo = math.floor((center - half) / self.dtheta) - 1
@@ -372,8 +382,10 @@ class PolarGrid:
                 cols = np.arange(self.n_t)
             else:
                 cols = self._columns(cmath.phase(c), math.asin(rad / a))
-            idx = np.concatenate([[0], self._nodes(k0, k1, cols)])
-            mask[idx] = np.abs(self.node_z[idx] - c) <= rad
+            # the window's complex positions, node by node as r e^{i theta}
+            z = self.ring_r[k0:k1, None] * np.exp(1j * self.thetas[cols])
+            mask[self._nodes(k0, k1, cols)] = (np.abs(z - c) <= rad).ravel()
+            mask[0] = abs(c) <= rad
         elif isinstance(plate, CarlesonBox):
             k0 = int(np.searchsorted(self.ring_r, plate.inner_radius - 1e-15))
             mask[self._nodes(k0, self.n_rings, self._arc_columns(plate.base_arc))] = True
@@ -390,6 +402,127 @@ class PolarGrid:
             )
         return mask
 
+    @functools.cached_property
+    def _modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(pivots, rho, diag): the grid operator, centre node grounded, by mode.
+
+        The operator on the ring nodes is then rotation invariant, so in
+        the angular Fourier mode m it is one symmetric tridiagonal matrix
+        T_m over the rings: diagonal g_in + g_out + g_angular lam_m, off
+        the diagonal -g_radial, where lam_m = 2 - 2 cos(2 pi m / n_t) and
+        ring 0's g_in is its spokes to the grounded centre.  Row m of
+        each array is mode m, for m = 0..n_t // 2:
+
+        * pivots, the LDL^T pivots of T_m, first ring first;
+        * rho, the ratios g_radial / pivot between each ring and the
+          next, by which every column of T_m^{-1} decays above its ring;
+        * diag, the diagonal of T_m^{-1}.
+
+        Each pivot and each diagonal entry is a sum of positive
+        conductances: the ring's shunt g_angular lam_m plus the
+        conductances to ground of the rings inside it and, for diag, of
+        the rings outside it, each a series and parallel combination
+        (zero outside the last ring for m = 0, whose outer side is
+        Neumann).  Nothing cancels, so every entry is accurate to a few
+        ulps however strongly the rings are graded.
+        """
+        n_rings = self.n_rings
+        lam = 2.0 - 2.0 * np.cos(self.dtheta * np.arange(self.n_t // 2 + 1))
+        shunt = lam[:, None] * self._g_angular
+        g = self._g_radial[1:]
+        inside = np.empty_like(shunt)
+        outside = np.empty_like(shunt)
+        inside[:, 0] = self._g_radial[0]
+        outside[:, -1] = 0.0
+        for k in range(1, n_rings):
+            s = shunt[:, k - 1] + inside[:, k - 1]
+            inside[:, k] = g[k - 1] * s / (g[k - 1] + s)
+            s = shunt[:, n_rings - k] + outside[:, n_rings - k]
+            outside[:, n_rings - k - 1] = g[n_rings - k - 1] * s / (g[n_rings - k - 1] + s)
+        pivots = shunt + inside
+        pivots[:, :-1] += g
+        return pivots, g / pivots[:, :-1], 1.0 / (shunt + inside + outside)
+
+    def _green(self, nodes: np.ndarray) -> np.ndarray:
+        """The grounded Green's matrix on the given ring nodes (increasing).
+
+        Entry (a, b) is the value at a of the potential of a unit charge
+        at b with the centre node grounded.  Between nodes on rings k <= l
+        whose angle indices differ by d it is the inverse discrete
+        Fourier transform over the modes of T_m^{-1}[k, l] =
+        diag[m, l] times the product of rho[m, k..l-1].  The rings are
+        taken one at a time, outwards: the products from every inner ring
+        grow by one factor per ring, and one inverse real FFT gives the
+        transforms from all of them to this ring, so the memory stays
+        O(rings x n_t).  Only the upper triangle is filled.
+        """
+        _, rho, diag = self._modes
+        n_t = self.n_t
+        k, j = np.divmod(nodes - 1, n_t)
+        rings, first, ring_of = np.unique(k, return_index=True, return_inverse=True)
+        ends = np.append(first[1:], len(nodes))
+        green = np.zeros((len(nodes), len(nodes)))
+        # row a: the product of rho from the a-th ring of the nodes to this one
+        column = np.empty((len(rings), len(rho)))
+        for r, ring in enumerate(rings):
+            if r:
+                column[:r] *= rho[:, rings[r - 1] : ring].prod(axis=1)
+            column[r] = 1.0
+            h = np.fft.irfft(column[: r + 1] * diag[:, ring], n_t, axis=1)
+            e, cols = ends[r], slice(first[r], ends[r])
+            green[:e, cols] = h[ring_of[:e, None], (j[:e, None] - j[None, cols]) % n_t]
+        return green
+
+    def _radial_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """T_m x = rhs in every mode at once; rhs and x are (modes, rings)."""
+        pivots, rho, _ = self._modes
+        x = rhs.copy()
+        for k in range(1, self.n_rings):
+            x[:, k] += rho[:, k - 1] * x[:, k - 1]
+        x /= pivots
+        for k in range(self.n_rings - 2, -1, -1):
+            x[:, k] += rho[:, k] * x[:, k + 1]
+        return x
+
+    def _capacitance_solve(self, u: np.ndarray, free: np.ndarray, layer: np.ndarray) -> np.ndarray:
+        """Harmonic values on the free nodes, given u on the fixed ones.
+
+        layer holds the fixed nodes with a free neighbour.  Let G be the
+        grounded Green's function (see _green) and put charges sigma on
+        the layer's ring nodes: c + G sigma is harmonic at every free ring
+        node.  It takes u's values on the layer if G's block on the layer,
+        the capacitance matrix, maps sigma to u - c there.  That block is
+        a principal block of the inverse of the grounded operator, so it
+        is SPD and is Cholesky-factored.  When the centre is fixed, c is
+        its value (a fixed centre off the layer touches no free node, so
+        any c would do); when it is free, being harmonic there means the
+        charges sum to 0, which fixes c.  The field then comes from one
+        real FFT in angle, the tridiagonal solves over the rings and one
+        inverse FFT.
+        """
+        import scipy.linalg
+
+        layer = layer[layer > 0]
+        if not len(layer):  # only the centre is fixed: every free node takes its value
+            return np.full(np.count_nonzero(free), u[0])
+        try:
+            factor = scipy.linalg.cho_factor(self._green(layer), check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"capacitance matrix on {len(layer)} nodes not positive definite: {exc}") from exc
+        if free[0]:
+            both = np.column_stack([u[layer], np.ones(len(layer))])
+            x = scipy.linalg.cho_solve(factor, both, check_finite=False)
+            c = x[:, 0].sum() / x[:, 1].sum()
+            charges = x[:, 0] - c * x[:, 1]
+        else:
+            c = u[0]
+            charges = scipy.linalg.cho_solve(factor, u[layer] - c, check_finite=False)
+        f = np.zeros(self.n_nodes - 1)
+        f[layer - 1] = charges
+        modes = self._radial_solve(np.fft.rfft(f.reshape(self.n_rings, self.n_t), axis=1).T)
+        field = c + np.fft.irfft(modes.T, self.n_t, axis=1).ravel()
+        return np.concatenate([[c], field])[free]
+
     def solve(
         self, mask0: np.ndarray, mask1: np.ndarray, parts: np.ndarray | None = None
     ) -> tuple[np.ndarray, float | np.ndarray]:
@@ -400,20 +533,21 @@ class PolarGrid:
         it, as if the other part were in mask0, and energy is the array of
         the parts' energies indexed by label.
 
-        The system on the free nodes is built from their stencil rows.  It
-        is symmetric positive definite (the grid graph is connected, the
-        fixed set is not empty, and a cut edge leaves its g on the
-        diagonal), so it is factored without pivoting under a
-        minimum-degree ordering of A + A^T.  Every edge with no end at a
-        free or mask1 node joins two zeros, so the energy sums only the
-        stencil rows of those nodes.
-        """
-        # here, not at module level, so that importing disclab does not load
-        # scipy; and first, so that the import's objects do not land on the
-        # heap among the solve's arrays and keep it from shrinking
-        import scipy.sparse
-        import scipy.sparse.linalg
+        Without parts the free values come from the capacitance matrix
+        of the fixed nodes next to free ones (see _capacitance_solve).
+        With parts the system on the free nodes is built from their
+        stencil rows.  It is symmetric positive definite (the grid graph
+        is connected, the fixed set is not empty, and a cut edge leaves
+        its g on the diagonal), so it is factored without pivoting under
+        a minimum-degree ordering of A + A^T: a set of interpolant blocks
+        has few free nodes and a huge fixed set, where this wins.
 
+        Every edge with no end at a free or mask1 node joins two zeros,
+        so the energy sums only the stencil rows of those nodes.  The
+        same rows give each free node's residual; a NumericalError is
+        raised if one exceeds RESIDUAL_BOUND times the node's conductance
+        sum, its scale for values in [0, 1].
+        """
         if (mask0 & mask1).any():
             return np.zeros(self.n_nodes), 0.0 if parts is None else np.zeros(parts.max() + 1)
         u = np.zeros(self.n_nodes)
@@ -424,39 +558,65 @@ class PolarGrid:
         if parts is not None:
             joined &= parts[heads] == parts[tails]
         free = live & ~mask1
-        n_free = int(np.count_nonzero(free))
-        if n_free:
-            # the matrix row of each free node, and a spare row for the fixed ones
-            pos = np.where(free, np.cumsum(free) - 1, n_free)
-            rows = pos[heads]
-            # each row holds its diagonal, then -g at its joined free tails: the
-            # e-th off-diagonal entry, in row r, follows e others and r + 1 diagonals
-            off = joined & free[tails] & free[heads]
-            off_rows = rows[off]
-            indptr = np.concatenate([[0], np.cumsum(np.bincount(off_rows, minlength=n_free) + 1)])
-            slots = np.arange(len(off_rows)) + off_rows + 1
-            data = np.empty(indptr[-1])
-            indices = np.empty(indptr[-1], dtype=np.int32)
-            data[indptr[:-1]] = np.bincount(rows, weights=g, minlength=n_free + 1)[:n_free]
-            indices[indptr[:-1]] = np.arange(n_free)
-            data[slots] = -g[off]
-            indices[slots] = pos[tails[off]]
-            # the matrix is symmetric, so its CSR arrays are its CSC arrays
-            lu = scipy.sparse.linalg.splu(
-                scipy.sparse.csc_matrix((data, indices, indptr), shape=(n_free, n_free)),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-            rhs = np.bincount(rows, weights=g * (joined & mask1[tails]), minlength=n_free + 1)[:n_free]
-            u[free] = lu.solve(rhs)
+        if free.any():
+            if parts is None:
+                layer = np.unique(tails[free[heads] & ~free[tails]])
+                u[free] = self._capacitance_solve(u, free, layer)
+            else:
+                u[free] = self._sparse_solve(free, mask1, heads, tails, g, joined)
         d = u[heads] - np.where(joined, u[tails], 0.0)
+        residual = np.bincount(heads, weights=g * d, minlength=self.n_nodes)[free]
+        scale = np.bincount(heads, weights=g, minlength=self.n_nodes)[free]
+        worst = float(np.max(np.abs(residual) / scale, initial=0.0))
+        if not worst <= RESIDUAL_BOUND:
+            raise NumericalError(
+                f"grid solve residual {worst:.3g} of the conductance sum exceeds {RESIDUAL_BOUND:g}", estimate=worst
+            )
         # an edge joining two live nodes sits in both their rows: count it once
         once = ~joined | (heads < tails)
         terms = (g * d * d)[once]
         if parts is None:
             return u, float(np.sum(terms))
         return u, np.bincount(parts[heads[once]], weights=terms, minlength=parts.max() + 1)
+
+    def _sparse_solve(
+        self,
+        free: np.ndarray,
+        mask1: np.ndarray,
+        heads: np.ndarray,
+        tails: np.ndarray,
+        g: np.ndarray,
+        joined: np.ndarray,
+    ) -> np.ndarray:
+        """Values on the free nodes from their stencil rows, by SuperLU."""
+        import scipy.sparse
+        import scipy.sparse.linalg
+
+        n_free = int(np.count_nonzero(free))
+        # the matrix row of each free node, and a spare row for the fixed ones
+        pos = np.where(free, np.cumsum(free) - 1, n_free)
+        rows = pos[heads]
+        # each row holds its diagonal, then -g at its joined free tails: the
+        # e-th off-diagonal entry, in row r, follows e others and r + 1 diagonals
+        off = joined & free[tails] & free[heads]
+        off_rows = rows[off]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(off_rows, minlength=n_free) + 1)])
+        slots = np.arange(len(off_rows)) + off_rows + 1
+        data = np.empty(indptr[-1])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data[indptr[:-1]] = np.bincount(rows, weights=g, minlength=n_free + 1)[:n_free]
+        indices[indptr[:-1]] = np.arange(n_free)
+        data[slots] = -g[off]
+        indices[slots] = pos[tails[off]]
+        # the matrix is symmetric, so its CSR arrays are its CSC arrays
+        lu = scipy.sparse.linalg.splu(
+            scipy.sparse.csc_matrix((data, indices, indptr), shape=(n_free, n_free)),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        rhs = np.bincount(rows, weights=g * (joined & mask1[tails]), minlength=n_free + 1)[:n_free]
+        return lu.solve(rhs)
 
 
 def _angles_in_arc(thetas: np.ndarray, arc: Arc) -> np.ndarray:

@@ -441,19 +441,21 @@ def _generate_union(params: dict) -> Sequence:
 class InterpolantBlocks:
     """Fixed condenser-potential blocks for one (sequence, gamma, grid).
 
-    Row i of block_values holds the block of z_i on its support region;
-    gram is the W^{1,2} form on the blocks, B (L + diag(areas)) B^T.
+    The supports are pairwise disjoint, so the blocks are stored as one
+    value per covered node: block owner[k] takes the value values[k] at
+    node nodes[k] and vanishes off its support.  gram is the W^{1,2} form
+    on the blocks, B (L + diag(areas)) B^T.
     """
 
     grid: capacity.PolarGrid
-    block_values: scipy.sparse.csr_matrix  # (n_points, n_nodes)
+    nodes: np.ndarray  # the covered nodes, increasing
+    owner: np.ndarray  # the block of each covered node
+    values: np.ndarray  # each covered node's value in its block
     block_energies: np.ndarray
     gram: np.ndarray  # (n_points, n_points)
 
 
 def _build_blocks(seq: Sequence, gamma: float, resolution) -> InterpolantBlocks:
-    import scipy.sparse
-
     n_r, n_t = resolution
     n = len(seq)
     min_depth = min(0.5, min(p.depth for p in seq.points) / 8.0)
@@ -479,19 +481,17 @@ def _build_blocks(seq: Sequence, gamma: float, resolution) -> InterpolantBlocks:
     # sees 0 across the edges to its neighbours, as if they were in mask0
     covered = owner >= 0
     u, energies = grid.solve(~covered, cores, owner)
-    indptr = np.concatenate([[0], np.cumsum([len(s) for s in supports])])
-    nodes = np.concatenate(supports)
-    blocks = scipy.sparse.csr_matrix((u[nodes], nodes, indptr), shape=(n, grid.n_nodes))
+    nodes = np.flatnonzero(covered)
     # a block's Dirichlet energy is its own diagonal entry; two blocks couple
     # through the edges between their supports, each seen from both ends
     l2 = np.bincount(owner[nodes], weights=grid.node_areas()[nodes] * u[nodes] ** 2, minlength=n)
     gram = np.diag(energies + l2)
-    heads, tails, g = grid._stencil(np.flatnonzero(covered))
+    heads, tails, g = grid._stencil(nodes)
     cross = covered[tails] & (owner[heads] != owner[tails])
     heads, tails, g = heads[cross], tails[cross], g[cross]
     coupling = np.bincount(owner[heads] * n + owner[tails], weights=g * u[heads] * u[tails], minlength=n * n)
     gram -= coupling.reshape(n, n)
-    return InterpolantBlocks(grid, blocks, energies, gram)
+    return InterpolantBlocks(grid, nodes, owner[nodes], u[nodes], energies, gram)
 
 
 def assemble_sobolev_interpolant(
@@ -515,6 +515,7 @@ def assemble_sobolev_interpolant(
     if blocks is None:
         blocks = _build_blocks(seq, gamma, resolution)
     coeffs = data * np.sqrt(np.asarray(seq.norms))
-    values = blocks.block_values.T @ coeffs
+    values = np.zeros(blocks.grid.n_nodes)
+    values[blocks.nodes] = coeffs[blocks.owner] * blocks.values
     energy = float(coeffs @ blocks.gram @ coeffs)
     return capacity.GridPotential(blocks.grid, values, energy), energy
