@@ -60,6 +60,9 @@ CAP_DEN_FLOOR = CAP_SCALE / 22.9
 
 RIDGE_FACTOR = 1e-10
 
+# rows per strip of the equilibrium energy matrix; temporaries stay O(n * block)
+_KERNEL_BLOCK = 64
+
 # largest residual of a grid solve, relative to each free node's conductance sum
 RESIDUAL_BOUND = 1e-10
 
@@ -110,9 +113,20 @@ def _arc_nodes(arc: Arc, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _energy_matrix(angles: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    d = np.abs(np.sin(0.5 * (angles[:, None] - angles[None, :])))
-    with np.errstate(divide="ignore"):
-        k = np.log(2.0) - np.log(2.0 * d)
+    """Log-kernel matrix log(1 / |sin((a_i - a_j) / 2)|) with self-cells on the diagonal.
+
+    The upper triangle is filled in strips of rows and each strip is
+    mirrored below the diagonal.  Negating the angle difference is exact
+    and sin is odd, so the mirror equals the formula evaluated there.
+    """
+    n = len(angles)
+    k = np.empty((n, n))
+    for a in range(0, n, _KERNEL_BLOCK):
+        b = min(a + _KERNEL_BLOCK, n)
+        d = np.abs(np.sin(0.5 * (angles[a:b, None] - angles[None, a:])))
+        with np.errstate(divide="ignore"):
+            k[a:b, a:] = np.log(2.0) - np.log(2.0 * d)
+        k[b:, a:b] = k[a:b, b:].T
     np.fill_diagonal(k, np.log(2.0 / widths) + 1.5)
     return k
 
@@ -120,9 +134,16 @@ def _energy_matrix(angles: np.ndarray, widths: np.ndarray) -> np.ndarray:
 def equilibrium_measure(arcs: list[Arc], quad_nodes_per_arc: int = 24) -> EquilibriumMeasure:
     """Equilibrium measure of a finite union of disjoint arcs.
 
-    Solves the first-kind system for a unit-mass measure with constant
-    potential on the arcs, with a small ridge, then enforces
-    nonnegativity by an active-set sweep.
+    The unit-mass measure with constant potential on the nodes minimises
+    w^T K w subject to sum(w) = 1, so it is x / sum(x) for K x = 1.  A
+    ridge of RIDGE_FACTOR times K's mean diagonal is added to the
+    diagonal in place and the saved diagonal is put back before the
+    energy w^T K w, so the solve works in the one n x n matrix plus the
+    copy LAPACK factors.  The factorisation is LU with partial pivoting,
+    not Cholesky: K is symmetric but not always definite, e.g. on the
+    full circle, where the two end nodes nearly meet across the wrap.
+    Nonnegativity is enforced by an active-set sweep: nodes with negative
+    weight are dropped and the system on the rest solved again.
     """
     if quad_nodes_per_arc < 8:
         raise DomainError(f"need >= 8 nodes per arc, got {quad_nodes_per_arc}")
@@ -141,28 +162,20 @@ def equilibrium_measure(arcs: list[Arc], quad_nodes_per_arc: int = 24) -> Equili
     widths = np.concatenate([p[1] for p in parts])
     k = _energy_matrix(angles, widths)
     n = len(angles)
-    k_reg = k + (RIDGE_FACTOR * np.trace(k) / n) * np.eye(n)
+    diag = k.diagonal().copy()
+    np.fill_diagonal(k, diag + RIDGE_FACTOR * np.trace(k) / n)
 
     active = np.ones(n, dtype=bool)
-    w = np.zeros(n)
     for _ in range(25):
-        idx = np.where(active)[0]
-        m = len(idx)
-        kkt = np.zeros((m + 1, m + 1))
-        kkt[:m, :m] = k_reg[np.ix_(idx, idx)]
-        kkt[:m, m] = 1.0
-        kkt[m, :m] = 1.0
-        rhs = np.zeros(m + 1)
-        rhs[m] = 1.0
+        idx = np.flatnonzero(active)
         try:
-            sol = np.linalg.solve(kkt, rhs)
+            x = np.linalg.solve(k if len(idx) == n else k[np.ix_(idx, idx)], np.ones(len(idx)))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
-                f"equilibrium system singular: {exc}",
-                condition=float(np.linalg.cond(k_reg)),
+                f"equilibrium system singular: {exc}", condition=float(np.linalg.cond(k))
             ) from exc
         w = np.zeros(n)
-        w[idx] = sol[:m]
+        w[idx] = x / x.sum()
         neg = w < -1e-12
         if not neg.any():
             break
@@ -170,10 +183,9 @@ def equilibrium_measure(arcs: list[Arc], quad_nodes_per_arc: int = 24) -> Equili
     w = np.maximum(w, 0.0)
     total = w.sum()
     if not math.isfinite(total) or total <= 0:
-        raise NumericalError(
-            "equilibrium weights degenerate", condition=float(np.linalg.cond(k_reg))
-        )
+        raise NumericalError("equilibrium weights degenerate", condition=float(np.linalg.cond(k)))
     w /= total
+    np.fill_diagonal(k, diag)
     energy = float(w @ k @ w)
     if not math.isfinite(energy) or energy <= 0:
         raise NumericalError(f"nonpositive equilibrium energy {energy}")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import equilibrium_oracle
 import plate_oracle
 from conftest import angles, arc_lengths, disc_points
 from disclab import capacity, geometry
@@ -45,6 +46,51 @@ class TestEquilibriumMeasure:
         mu = capacity.equilibrium_measure(arcs, 24)
         assert len(mu.nodes) == 2
         assert math.isfinite(mu.energy) and mu.energy > 0
+
+
+def assert_matches_oracle(arcs, quad_nodes_per_arc=24):
+    mu = capacity.equilibrium_measure(arcs, quad_nodes_per_arc)
+    nodes, weights, energy, _ = equilibrium_oracle.equilibrium_measure(arcs, quad_nodes_per_arc)
+    assert np.array_equal(mu.nodes, nodes)
+    assert mu.energy == pytest.approx(energy, rel=1e-12)
+    assert np.abs(mu.weights - weights).max() <= 1e-12
+
+
+class TestEquilibriumOracle:
+    @pytest.mark.parametrize("n", [1, 24, 63, 64, 65, 129, 1536])
+    def test_kernel_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        angles = rng.uniform(0.0, 2.0 * math.pi, n)
+        angles[n // 2 :] = np.sort(angles[n // 2 :])
+        widths = rng.uniform(1e-9, 1e-2, n)
+        assert np.array_equal(
+            capacity._energy_matrix(angles, widths), equilibrium_oracle.energy_matrix(angles, widths)
+        )
+
+    @given(st.lists(st.builds(Arc, angles(), arc_lengths(1e-9, 0.5)), min_size=1, max_size=64))
+    def test_matches_bordered_solve(self, arcs):
+        assert_matches_oracle(arcs)
+
+    def test_full_circle_is_indefinite(self):
+        # the two end nodes sit 1.8e-4 rad apart across the wrap, closer
+        # than their 1.3e-3 rad cells are wide, so their coupling (9.32)
+        # exceeds their self-cell diagonal (8.85) and K is indefinite: the
+        # solve cannot be a Cholesky one
+        nodes, widths = equilibrium_oracle.nodes([Arc(0.0, 1.0)])
+        assert np.linalg.eigvalsh(equilibrium_oracle.energy_matrix(nodes, widths))[0] < -0.4
+        assert_matches_oracle([Arc(0.0, 1.0)])
+
+    def test_point_masses(self):
+        assert_matches_oracle([Arc(1.0, 2.0**-60), Arc(2.0, 2.0**-64), Arc(4.0, 1e-13)])
+        assert_matches_oracle([Arc(1.0, 2.0**-60), Arc(3.0, 0.1)])
+
+    def test_second_active_set_sweep(self):
+        # two expanded-box arcs from the capacitary check of a random
+        # sequence; together they cover the circle, and the first sweep
+        # leaves negative weights
+        arcs = [Arc(5.073419076239693, 0.5146155028463495), Arc(2.562352128421005, 0.8214097941892161)]
+        assert equilibrium_oracle.equilibrium_measure(arcs)[3] == 2
+        assert_matches_oracle(arcs)
 
 
 class TestArcNodes:

@@ -288,9 +288,8 @@ def test_console_script_entry_matches_main():
         assert ep.value == declared
 
 
-def test_import_loads_no_scipy():
-    # the checkers never factor a sparse matrix, so a fresh process running them
-    # should not pay for importing scipy
+def _scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded once `code` has run in a fresh interpreter."""
     import os
     import subprocess
     import sys
@@ -298,6 +297,21 @@ def test_import_loads_no_scipy():
 
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, disclab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys; {code}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # the checkers never factor a sparse matrix, so a fresh process running them
+    # should not pay for importing scipy
+    assert _scipy_modules_after("import disclab.cli") == "[]"
+
+
+def test_equilibrium_route_loads_no_scipy():
+    # the equilibrium solve is numpy's dense LU, which cc and `capacity arcs` run once per call
+    code = (
+        "from disclab import capacity; from disclab.geometry import Arc; "
+        "capacity.log_capacity([Arc(0.3 + 1.5 * j, 0.05) for j in range(4)])"
+    )
+    assert _scipy_modules_after(code) == "[]"
