@@ -28,13 +28,17 @@ them, built from the modes by inverse FFTs, is Cholesky-factored for
 the charges that hold those nodes at their values, and one FFT, the
 tridiagonal solves and one inverse FFT give the field.  A solve with
 part labels cuts the edges between parts, so one factorisation serves a
-whole set of interpolant blocks; that system on the free nodes is built
-from their stencil rows and factored by SuperLU without pivoting under
-a minimum-degree ordering, which wins for few free nodes among many
-fixed ones.  The energy sums only the rows of free or Dirichlet-one
-nodes, and the same rows give the residual every solve is checked
-against.  scipy is imported only inside the functions that use it, so
-importing disclab does not load it.
+whole set of interpolant blocks.  That system on the free nodes is built
+from their stencil rows and is block diagonal, one block per part.  With
+each part's nodes in its own (ring, column) order, the shorter side
+inner, it is a band as wide as the widest part's shorter side (a
+bandwidth-reducing order in the sense of Cuthill & McKee, Proc. 24th
+ACM National Conference, 1969), and LAPACK's banded Cholesky
+factorisation takes O(n b^2) for n unknowns in a band of b.  The
+energy sums only the rows of free or Dirichlet-one nodes, and the same
+rows give the residual every solve is checked against.  scipy is
+imported only inside the functions that use it, so importing disclab
+does not load it.
 """
 
 from __future__ import annotations
@@ -550,9 +554,10 @@ class PolarGrid:
         With parts the system on the free nodes is built from their
         stencil rows.  It is symmetric positive definite (the grid graph
         is connected, the fixed set is not empty, and a cut edge leaves
-        its g on the diagonal), so it is factored without pivoting under
-        a minimum-degree ordering of A + A^T: a set of interpolant blocks
-        has few free nodes and a huge fixed set, where this wins.
+        its g on the diagonal), and no edge joins two parts, so in the
+        parts' band order (see _band_order) one banded Cholesky
+        factorisation solves it (see _banded_solve); a factorisation
+        that fails raises a NumericalError.
 
         Every edge with no end at a free or mask1 node joins two zeros,
         so the energy sums only the stencil rows of those nodes.  The
@@ -575,7 +580,7 @@ class PolarGrid:
                 layer = np.unique(tails[free[heads] & ~free[tails]])
                 u[free] = self._capacitance_solve(u, free, layer)
             else:
-                u[free] = self._sparse_solve(free, mask1, heads, tails, g, joined)
+                u[free] = self._banded_solve(free, mask1, parts, heads, tails, g, joined)
         d = u[heads] - np.where(joined, u[tails], 0.0)
         residual = np.bincount(heads, weights=g * d, minlength=self.n_nodes)[free]
         scale = np.bincount(heads, weights=g, minlength=self.n_nodes)[free]
@@ -591,44 +596,103 @@ class PolarGrid:
             return u, float(np.sum(terms))
         return u, np.bincount(parts[heads[once]], weights=terms, minlength=parts.max() + 1)
 
-    def _sparse_solve(
+    def _band_order(self, nodes: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """The order of the given nodes (increasing) that keeps each part in a narrow band.
+
+        The nodes go by part label, and within a part by (outer, inner)
+        index.  A node's two indices are its ring offset from the part's
+        innermost ring and its column offset from the column just after
+        the part's largest angular gap, so a part that wraps across angle
+        0 stays contiguous.  The inner index is the part's shorter side,
+        which is then the band's width.  A part that closes the circle
+        has no gap: its columns go folded, 0, n_t - 1, 1, n_t - 2, ...,
+        so that neighbours stay at most two columns apart, and its ring
+        side counts twice.  The centre node joins its part to all of ring
+        0, so that part goes ring by ring, the centre first (its ring
+        offset is -1).
+        """
+        n_t = self.n_t
+        n_parts = labels.max() + 1
+        k, j = np.divmod(nodes - 1, n_t)
+        centre = int(nodes[0] == 0)
+        # the ring nodes' labels, rings and columns
+        rl, rk, rj = labels[centre:], k[centre:], j[centre:]
+        # each part's columns in order, with the gap before each, cyclically
+        used = np.zeros((n_parts, n_t), dtype=bool)
+        used[rl, rj] = True
+        cl, cj = np.nonzero(used)
+        first = np.flatnonzero(np.diff(cl, prepend=-1))
+        last = np.flatnonzero(np.diff(cl, append=n_parts))
+        gap = np.diff(cj, prepend=0)
+        gap[first] = cj[first] + n_t - cj[last]
+        widest = np.lexsort((-gap, cl))[first]
+        start = np.zeros(n_parts, dtype=k.dtype)
+        start[cl[first]] = cj[widest]
+        width = np.zeros(n_parts, dtype=k.dtype)
+        width[cl[first]] = n_t + 1 - gap[widest]
+        inner_ring = np.full(n_parts, self.n_rings, dtype=k.dtype)
+        np.minimum.at(inner_ring, rl, rk)
+        height = np.zeros(n_parts, dtype=k.dtype)
+        np.maximum.at(height, rl, rk + 1)
+        height -= inner_ring
+        closed = width == n_t
+        ring_major = width <= np.where(closed, 2 * height, height)
+        if centre:
+            ring_major[labels[0]] = True
+        ring_off = np.maximum(k - inner_ring[labels], -1)
+        col_off = (j - start[labels]) % n_t
+        col_off = np.where(closed[labels], np.minimum(2 * col_off, 2 * (n_t - col_off) - 1), col_off)
+        by_ring = ring_major[labels]
+        outer = np.where(by_ring, ring_off, col_off)
+        inner = np.where(by_ring, col_off, ring_off)
+        # one sort key: both offsets are below span, outer + 1 too
+        span = max(n_t, self.n_rings) + 1
+        return np.argsort((labels * span + outer + 1) * span + inner)
+
+    def _banded_solve(
         self,
         free: np.ndarray,
         mask1: np.ndarray,
+        parts: np.ndarray,
         heads: np.ndarray,
         tails: np.ndarray,
         g: np.ndarray,
         joined: np.ndarray,
     ) -> np.ndarray:
-        """Values on the free nodes from their stencil rows, by SuperLU."""
-        import scipy.sparse
-        import scipy.sparse.linalg
+        """Values on the free nodes from their stencil rows, by a banded Cholesky factorisation.
 
-        n_free = int(np.count_nonzero(free))
+        The matrix's rows and columns go in the parts' band order (see
+        _band_order).  Row r of the lower band ab holds the entries r
+        below the diagonal: ab[0] the conductance sums, and -g at
+        ab[p - q, q] for each joined edge between the free nodes in rows
+        p > q.
+        """
+        import scipy.linalg
+
+        nodes = np.flatnonzero(free)
+        n_free = len(nodes)
         # the matrix row of each free node, and a spare row for the fixed ones
-        pos = np.where(free, np.cumsum(free) - 1, n_free)
+        pos = np.full(self.n_nodes, n_free)
+        pos[nodes[self._band_order(nodes, parts[nodes])]] = np.arange(n_free)
         rows = pos[heads]
-        # each row holds its diagonal, then -g at its joined free tails: the
-        # e-th off-diagonal entry, in row r, follows e others and r + 1 diagonals
-        off = joined & free[tails] & free[heads]
-        off_rows = rows[off]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(off_rows, minlength=n_free) + 1)])
-        slots = np.arange(len(off_rows)) + off_rows + 1
-        data = np.empty(indptr[-1])
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        data[indptr[:-1]] = np.bincount(rows, weights=g, minlength=n_free + 1)[:n_free]
-        indices[indptr[:-1]] = np.arange(n_free)
-        data[slots] = -g[off]
-        indices[slots] = pos[tails[off]]
-        # the matrix is symmetric, so its CSR arrays are its CSC arrays
-        lu = scipy.sparse.linalg.splu(
-            scipy.sparse.csc_matrix((data, indices, indptr), shape=(n_free, n_free)),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        # a tail above a free head's row is free itself
+        lower = joined & free[heads] & (pos[tails] < rows)
+        cols = pos[tails[lower]]
+        offsets = rows[lower] - cols
+        # in LAPACK's column-major layout, so scipy factors it without a copy
+        ab = np.zeros((1 + offsets.max(initial=0), n_free), order="F")
+        ab[0] = np.bincount(rows, weights=g, minlength=n_free + 1)[:n_free]
+        ab[offsets, cols] = -g[lower]
         rhs = np.bincount(rows, weights=g * (joined & mask1[tails]), minlength=n_free + 1)[:n_free]
-        return lu.solve(rhs)
+        try:
+            x = scipy.linalg.solveh_banded(
+                ab, rhs, overwrite_ab=True, overwrite_b=True, lower=True, check_finite=False
+            )
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"banded system on {n_free} nodes, bandwidth {len(ab) - 1}, not positive definite: {exc}"
+            ) from exc
+        return x[pos[nodes]]
 
 
 def _angles_in_arc(thetas: np.ndarray, arc: Arc) -> np.ndarray:

@@ -315,3 +315,15 @@ def test_equilibrium_route_loads_no_scipy():
         "capacity.log_capacity([Arc(0.3 + 1.5 * j, 0.05) for j in range(4)])"
     )
     assert _scipy_modules_after(code) == "[]"
+
+
+def test_interpolant_route_loads_no_scipy_sparse():
+    # the interpolant's parts solve is one banded Cholesky factorisation from scipy.linalg
+    code = (
+        "from disclab import sequences; "
+        "seq = sequences.generate('disjoint_boxes', {'count': 6}, seed=11); "
+        "sequences._build_blocks(seq, 0.75, (64, 256))"
+    )
+    loaded = _scipy_modules_after(code)
+    assert "scipy.linalg" in loaded
+    assert "scipy.sparse" not in loaded

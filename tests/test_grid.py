@@ -13,6 +13,11 @@ from disclab.errors import NumericalError, ResolutionError
 from disclab.geometry import ORIGIN, Arc, CarlesonBox, DiscPoint, HyperbolicDisc
 
 REL = 1e-12
+# The values agree to VALUES_TOL, not to 1e-12: on these graded grids the
+# conditioning turns the one-ulp differences between the stencil's and the
+# oracle's diagonals into differences of up to 4e-12, whichever
+# factorisation solves the stencil system.
+VALUES_TOL = 1e-11
 
 
 @st.composite
@@ -250,12 +255,6 @@ def _union(grid, plates):
 
 
 class TestCapacitanceSolve:
-    # The values agree to VALUES_TOL, not to 1e-12: on these graded grids
-    # the conditioning turns the one-ulp differences between the stencil's
-    # and the oracle's diagonals into differences of up to 4e-12, for the
-    # SuperLU route on the same masks as much as for this one.
-    VALUES_TOL = 1e-11
-
     @settings(max_examples=300)
     @given(condensers())
     def test_matches_pivoting_oracle(self, condenser):
@@ -267,7 +266,7 @@ class TestCapacitanceSolve:
             assert not u.any() and energy == 0.0
             return
         want = grid_oracle.solve(grid, mask0, mask1)
-        assert np.abs(u - want).max() < self.VALUES_TOL
+        assert np.abs(u - want).max() < VALUES_TOL
         assert energy == pytest.approx(grid_oracle.energy(grid, want), rel=REL)
 
     @pytest.mark.parametrize("shape", [(8, 16, 0.5), (12, 25, 0.01), (32, 96, 1e-4)])
@@ -326,6 +325,119 @@ class TestCapacitanceSolve:
         monkeypatch.setattr(scipy.linalg, "cho_solve", lambda *a, **k: cho_solve(*a, **k) * (1.0 + 1e-6))
         with pytest.raises(NumericalError, match="residual"):
             capacity.PolarGrid.solve(*self._condenser())
+
+
+@st.composite
+def labelled_windows(draw):
+    """(grid, parts, cores): labelled (ring, column) windows and their cores.
+
+    Each window spans a range of rings and a range of columns, which may
+    wrap across angle 0, be wider than tall or close the circle; a later
+    window keeps only the nodes no earlier one took.  Each core is a
+    window inside its part's, so the rows through it are split in two.
+    The first part may start at ring 0 and hold the centre node.
+    """
+    grid = draw(small_grids())
+    n_t, n_rings = grid.n_t, grid.n_rings
+    centre = draw(st.booleans())
+    parts = np.full(grid.n_nodes, -1)
+    cores = np.zeros(grid.n_nodes, dtype=bool)
+    for label in range(draw(st.integers(1, 3))):
+        k0 = 0 if centre and label == 0 else draw(st.integers(0, n_rings - 1))
+        k1 = draw(st.integers(k0 + 1, n_rings))
+        c0, width = draw(st.integers(0, n_t - 1)), draw(st.integers(1, n_t))
+        window = grid._nodes(k0, k1, (c0 + np.arange(width)) % n_t)
+        window = window[parts[window] < 0]
+        parts[window] = label
+        if centre and label == 0:
+            parts[0] = 0
+        h0 = draw(st.integers(k0, k1 - 1))
+        h1 = draw(st.integers(h0 + 1, k1))
+        d0 = draw(st.integers(0, width - 1))
+        d1 = draw(st.integers(d0 + 1, width))
+        core = grid._nodes(h0, h1, (c0 + np.arange(d0, d1)) % n_t)
+        cores[core[parts[core] == label]] = True
+    return grid, parts, cores
+
+
+def _recorded_bandwidth(monkeypatch, grid, mask0, mask1, parts) -> int:
+    """The bandwidth of the one banded system a parts solve factors."""
+    import scipy.linalg
+
+    shapes = []
+    solveh_banded = scipy.linalg.solveh_banded
+
+    def recording(ab, *args, **kwargs):
+        shapes.append(ab.shape)
+        return solveh_banded(ab, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", recording)
+    grid.solve(mask0, mask1, parts)
+    ((rows, _),) = shapes
+    return rows - 1
+
+
+class TestBandedSolve:
+    @settings(max_examples=300)
+    @given(labelled_windows())
+    def test_matches_pivoting_oracle_part_by_part(self, windows):
+        grid, parts, cores = windows
+        u, energies = grid.solve(parts < 0, cores, parts)
+        assert energies.shape == (parts.max() + 1,)
+        for label in np.unique(parts[parts >= 0]):
+            inside = parts == label
+            want = grid_oracle.solve(grid, ~inside, cores & inside)
+            assert np.abs(u[inside] - want[inside]).max() < VALUES_TOL
+            assert energies[label] == pytest.approx(grid_oracle.energy(grid, want), rel=REL)
+
+    @pytest.mark.parametrize(
+        "windows, band",
+        [
+            ([(4, 16, 0, 5)], 5),  # taller than wide: ring by ring
+            ([(4, 8, 0, 20)], 4),  # wider than tall: column by column
+            ([(4, 8, 54, 20)], 4),  # the same across angle 0
+            ([(2, 20, 62, 5)], 5),  # taller than wide across angle 0
+            ([(4, 8, 0, 64)], 8),  # closes the circle: folded columns, two apart
+            ([(0, 40, 0, 64)], 64),  # closes the circle, taller than half its width: ring by ring
+            ([(0, 4, 0, 10, "centre")], 10),  # the centre's part goes ring by ring
+            ([(4, 16, 0, 5), (4, 10, 30, 20)], 6),  # the band is the wider of the parts' bands
+        ],
+    )
+    def test_bandwidth_is_the_shorter_side(self, monkeypatch, windows, band):
+        grid = capacity.PolarGrid(40, 64, 0.05)
+        parts = np.full(grid.n_nodes, -1)
+        for label, (k0, k1, c0, width, *centre) in enumerate(windows):
+            parts[grid._nodes(k0, k1, (c0 + np.arange(width)) % grid.n_t)] = label
+            if centre:
+                parts[0] = label
+        assert _recorded_bandwidth(monkeypatch, grid, parts < 0, np.zeros(grid.n_nodes, dtype=bool), parts) == band
+
+    def _blocks_system(self):
+        """The parts solve of test_parts_cut_shared_edges."""
+        grid = capacity.PolarGrid(16, 32, 0.05)
+        parts = np.full(grid.n_nodes, -1)
+        parts[grid._nodes(8, grid.n_rings, np.arange(-6, 4) % grid.n_t)] = 0
+        parts[grid._nodes(8, grid.n_rings, np.arange(4, 14))] = 1
+        cores = (parts >= 0) & (np.arange(grid.n_nodes) > grid.n_nodes - 2 * grid.n_t)
+        return grid, parts < 0, cores, parts
+
+    def test_failed_cholesky_raises_numerical_error(self, monkeypatch):
+        import scipy.linalg
+
+        def not_positive_definite(*args, **kwargs):
+            raise np.linalg.LinAlgError("4-th leading minor not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "solveh_banded", not_positive_definite)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            capacity.PolarGrid.solve(*self._blocks_system())
+
+    def test_residual_guard(self, monkeypatch):
+        import scipy.linalg
+
+        solveh_banded = scipy.linalg.solveh_banded
+        monkeypatch.setattr(scipy.linalg, "solveh_banded", lambda *a, **k: solveh_banded(*a, **k) * (1.0 + 1e-6))
+        with pytest.raises(NumericalError, match="residual"):
+            capacity.PolarGrid.solve(*self._blocks_system())
 
 
 class _OracleBlocks:
