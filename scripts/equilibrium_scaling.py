@@ -2,8 +2,9 @@
 
 For k = 1, 4, 16, 64 and 128 pairwise disjoint arcs at random centres
 (each as long as 0.3-0.9 of the room to its nearer neighbour), prints the
-node count n, the median wall time of `capacity.equilibrium_measure` over
-the repeats, and the peak of memory traced by `tracemalloc` during one
+node count n, the median wall and CPU time (`time.process_time`, all of
+this process's threads) of `capacity.equilibrium_measure` over the
+repeats, and the peak of memory traced by `tracemalloc` during one
 call, which counts numpy's arrays but not the workspace LAPACK allocates
 itself.
 
@@ -38,20 +39,22 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     rng = np.random.default_rng(args.seed)
-    print(f"{'arcs':>5} {'n':>6} {'median ms':>10} {'peak MB':>8}")
+    print(f"{'arcs':>5} {'n':>6} {'wall ms':>8} {'cpu ms':>8} {'peak MB':>8}")
     for k in ARC_COUNTS:
         arcs = disjoint_arcs(rng, k)
         mu = capacity.equilibrium_measure(arcs)  # warm-up
-        times = []
+        walls, cpus = [], []
         for _ in range(args.repeats):
-            start = time.perf_counter()
+            start, cpu = time.perf_counter(), time.process_time()
             capacity.equilibrium_measure(arcs)
-            times.append(time.perf_counter() - start)
+            walls.append(time.perf_counter() - start)
+            cpus.append(time.process_time() - cpu)
         tracemalloc.start()
         capacity.equilibrium_measure(arcs)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        print(f"{k:5d} {len(mu.nodes):6d} {1e3 * statistics.median(times):10.2f} {peak / 2**20:8.1f}")
+        wall, cpu = 1e3 * statistics.median(walls), 1e3 * statistics.median(cpus)
+        print(f"{k:5d} {len(mu.nodes):6d} {wall:8.2f} {cpu:8.2f} {peak / 2**20:8.1f}")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 For three families of `disjoint_boxes` sequences (deep boxes, depth
 2^-8 to 2^-6, 20 points; shallow boxes, 0.05 to 0.2, 3 points; shallow
 boxes, 0.2 to 0.45, 2 points) at 64x256, 96x384 and 128x512, prints the
-median wall time of `sequences._build_blocks` over the repeats and the
+median wall and CPU time (`time.process_time`, all of this process's
+threads) of `sequences._build_blocks` over the repeats and the
 size of the one banded system it factors: its unknowns (the free nodes
 of all supports) and its bandwidth.
 
@@ -50,18 +51,20 @@ def main():
     parser.add_argument("--repeats", type=int, default=9)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    print(f"{'family':>10} {'grid':>8} {'unknowns':>9} {'band':>5} {'median ms':>10}")
+    print(f"{'family':>10} {'grid':>8} {'unknowns':>9} {'band':>5} {'wall ms':>8} {'cpu ms':>8}")
     for name, params in FAMILIES:
         seq = sequences.generate("disjoint_boxes", params, seed=args.seed)
         for n_r, n_t in RESOLUTIONS:
             unknowns, band = band_shape(seq, (n_r, n_t))  # also the warm-up
-            times = []
+            walls, cpus = [], []
             for _ in range(args.repeats):
-                start = time.perf_counter()
+                start, cpu = time.perf_counter(), time.process_time()
                 sequences._build_blocks(seq, GAMMA, (n_r, n_t))
-                times.append(time.perf_counter() - start)
+                walls.append(time.perf_counter() - start)
+                cpus.append(time.process_time() - cpu)
             grid = f"{n_r}x{n_t}"
-            print(f"{name:>10} {grid:>8} {unknowns:9d} {band:5d} {1e3 * statistics.median(times):10.2f}")
+            wall, cpu = 1e3 * statistics.median(walls), 1e3 * statistics.median(cpus)
+            print(f"{name:>10} {grid:>8} {unknowns:9d} {band:5d} {wall:8.2f} {cpu:8.2f}")
 
 
 if __name__ == "__main__":

@@ -39,6 +39,17 @@ energy sums only the rows of free or Dirichlet-one nodes, and the same
 rows give the residual every solve is checked against.  scipy is
 imported only inside the functions that use it, so importing disclab
 does not load it.
+
+The dense and banded factorisations (the equilibrium LU, the
+capacitance Cholesky, the banded Cholesky) run on one BLAS thread, set
+for the calling thread for the duration of the call (see _blas).  At
+these sizes OpenBLAS's second thread pays too little.  After any solve
+of 128 rows or more its worker busy-waits about 120 ms for more work, so
+in a loop of solves it never sleeps and the CPU time doubles; and of 300
+back-to-back threaded solves of 128 rows, 6 stalled for up to 116 ms,
+where on one thread the slowest took 0.7 ms (numpy 2.4 with OpenBLAS
+0.3.31, 2 vCPUs).  One thread costs about 13% of the wall time of an
+equilibrium solve on 1536 nodes (64 arcs) and 30% on 3072.
 """
 
 from __future__ import annotations
@@ -50,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
+from . import _blas, geometry
 from .errors import DomainError, NumericalError, ResolutionError
 from .geometry import Arc, CarlesonBox, DiscPoint, HyperbolicDisc
 
@@ -119,17 +130,26 @@ def _arc_nodes(arc: Arc, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _energy_matrix(angles: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """Log-kernel matrix log(1 / |sin((a_i - a_j) / 2)|) with self-cells on the diagonal.
 
-    The upper triangle is filled in strips of rows and each strip is
-    mirrored below the diagonal.  Negating the angle difference is exact
-    and sin is odd, so the mirror equals the formula evaluated there.
+    The upper triangle is filled in strips of rows, each computed in place
+    in one reused buffer, and each strip is mirrored below the diagonal.
+    Negating the angle difference is exact and sin is odd, so the mirror
+    equals the formula evaluated there.
     """
     n = len(angles)
     k = np.empty((n, n))
+    # halving the angles first is exact, so each difference is the halved one
+    half = 0.5 * angles
+    buffer = np.empty(min(n, _KERNEL_BLOCK) * n)
     for a in range(0, n, _KERNEL_BLOCK):
         b = min(a + _KERNEL_BLOCK, n)
-        d = np.abs(np.sin(0.5 * (angles[a:b, None] - angles[None, a:])))
+        d = buffer[: (b - a) * (n - a)].reshape(b - a, n - a)
+        np.subtract(half[a:b, None], half[None, a:], out=d)
+        np.sin(d, out=d)
+        np.abs(d, out=d)
+        np.multiply(d, 2.0, out=d)
         with np.errstate(divide="ignore"):
-            k[a:b, a:] = np.log(2.0) - np.log(2.0 * d)
+            np.log(d, out=d)
+        np.subtract(np.log(2.0), d, out=k[a:b, a:])
         k[b:, a:b] = k[a:b, b:].T
     np.fill_diagonal(k, np.log(2.0 / widths) + 1.5)
     return k
@@ -169,28 +189,29 @@ def equilibrium_measure(arcs: list[Arc], quad_nodes_per_arc: int = 24) -> Equili
     diag = k.diagonal().copy()
     np.fill_diagonal(k, diag + RIDGE_FACTOR * np.trace(k) / n)
 
-    active = np.ones(n, dtype=bool)
-    for _ in range(25):
-        idx = np.flatnonzero(active)
-        try:
-            x = np.linalg.solve(k if len(idx) == n else k[np.ix_(idx, idx)], np.ones(len(idx)))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"equilibrium system singular: {exc}", condition=float(np.linalg.cond(k))
-            ) from exc
-        w = np.zeros(n)
-        w[idx] = x / x.sum()
-        neg = w < -1e-12
-        if not neg.any():
-            break
-        active &= ~neg
-    w = np.maximum(w, 0.0)
-    total = w.sum()
-    if not math.isfinite(total) or total <= 0:
-        raise NumericalError("equilibrium weights degenerate", condition=float(np.linalg.cond(k)))
-    w /= total
-    np.fill_diagonal(k, diag)
-    energy = float(w @ k @ w)
+    with _blas.single_thread():
+        active = np.ones(n, dtype=bool)
+        for _ in range(25):
+            idx = np.flatnonzero(active)
+            try:
+                x = np.linalg.solve(k if len(idx) == n else k[np.ix_(idx, idx)], np.ones(len(idx)))
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(
+                    f"equilibrium system singular: {exc}", condition=float(np.linalg.cond(k))
+                ) from exc
+            w = np.zeros(n)
+            w[idx] = x / x.sum()
+            neg = w < -1e-12
+            if not neg.any():
+                break
+            active &= ~neg
+        w = np.maximum(w, 0.0)
+        total = w.sum()
+        if not math.isfinite(total) or total <= 0:
+            raise NumericalError("equilibrium weights degenerate", condition=float(np.linalg.cond(k)))
+        w /= total
+        np.fill_diagonal(k, diag)
+        energy = float(w @ k @ w)
     if not math.isfinite(energy) or energy <= 0:
         raise NumericalError(f"nonpositive equilibrium energy {energy}")
     return EquilibriumMeasure(angles, w, energy)
@@ -320,6 +341,7 @@ class PolarGrid:
         # flat node coordinates for rasterization
         self.node_r = np.concatenate([[0.0], np.repeat(self.ring_r, n_t)])
         self.node_t = np.concatenate([[0.0], np.tile(self.thetas, self.n_rings)])
+        self._kept_stencil = None
 
     def _stencil(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Five-point stencil rows of the given nodes: (heads, tails, g).
@@ -332,7 +354,13 @@ class PolarGrid:
         the ring's ends, and j on rings k -+ 1, where ring 0's inner
         neighbour is the centre node and the last ring has no outer one.
         The centre node's row holds its n_t spokes to ring 0.
+
+        A solve with parts leaves its rows to the next call (see solve),
+        which takes them if its node set is the same.
         """
+        kept, self._kept_stencil = self._kept_stencil, None
+        if kept is not None and np.array_equal(kept[0], nodes):
+            return kept[1]
         nt = self.n_t
         spokes = nt if len(nodes) and nodes[0] == 0 else 0  # the centre node comes first
         ring_nodes = nodes[1:] if spokes else nodes
@@ -521,18 +549,19 @@ class PolarGrid:
         layer = layer[layer > 0]
         if not len(layer):  # only the centre is fixed: every free node takes its value
             return np.full(np.count_nonzero(free), u[0])
-        try:
-            factor = scipy.linalg.cho_factor(self._green(layer), check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"capacitance matrix on {len(layer)} nodes not positive definite: {exc}") from exc
-        if free[0]:
-            both = np.column_stack([u[layer], np.ones(len(layer))])
-            x = scipy.linalg.cho_solve(factor, both, check_finite=False)
-            c = x[:, 0].sum() / x[:, 1].sum()
-            charges = x[:, 0] - c * x[:, 1]
-        else:
-            c = u[0]
-            charges = scipy.linalg.cho_solve(factor, u[layer] - c, check_finite=False)
+        with _blas.single_thread():
+            try:
+                factor = scipy.linalg.cho_factor(self._green(layer), check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"capacitance matrix on {len(layer)} nodes not positive definite: {exc}") from exc
+            if free[0]:
+                both = np.column_stack([u[layer], np.ones(len(layer))])
+                x = scipy.linalg.cho_solve(factor, both, check_finite=False)
+                c = x[:, 0].sum() / x[:, 1].sum()
+                charges = x[:, 0] - c * x[:, 1]
+            else:
+                c = u[0]
+                charges = scipy.linalg.cho_solve(factor, u[layer] - c, check_finite=False)
         f = np.zeros(self.n_nodes - 1)
         f[layer - 1] = charges
         modes = self._radial_solve(np.fft.rfft(f.reshape(self.n_rings, self.n_t), axis=1).T)
@@ -570,10 +599,13 @@ class PolarGrid:
         u = np.zeros(self.n_nodes)
         u[mask1] = 1.0
         live = ~mask0
-        heads, tails, g = self._stencil(np.flatnonzero(live))
+        nodes = np.flatnonzero(live)
+        heads, tails, g = rows = self._stencil(nodes)
         joined = live[tails]
         if parts is not None:
             joined &= parts[heads] == parts[tails]
+            # the block build reads the couplings between parts off the same rows
+            self._kept_stencil = (nodes, rows)
         free = live & ~mask1
         if free.any():
             if parts is None:
@@ -685,9 +717,10 @@ class PolarGrid:
         ab[offsets, cols] = -g[lower]
         rhs = np.bincount(rows, weights=g * (joined & mask1[tails]), minlength=n_free + 1)[:n_free]
         try:
-            x = scipy.linalg.solveh_banded(
-                ab, rhs, overwrite_ab=True, overwrite_b=True, lower=True, check_finite=False
-            )
+            with _blas.single_thread():
+                x = scipy.linalg.solveh_banded(
+                    ab, rhs, overwrite_ab=True, overwrite_b=True, lower=True, check_finite=False
+                )
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"banded system on {n_free} nodes, bandwidth {len(ab) - 1}, not positive definite: {exc}"

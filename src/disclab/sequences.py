@@ -486,6 +486,7 @@ def _build_blocks(seq: Sequence, gamma: float, resolution) -> InterpolantBlocks:
     # through the edges between their supports, each seen from both ends
     l2 = np.bincount(owner[nodes], weights=grid.node_areas()[nodes] * u[nodes] ** 2, minlength=n)
     gram = np.diag(energies + l2)
+    # the covered nodes are the solve's live ones, so the grid hands back its rows
     heads, tails, g = grid._stencil(nodes)
     cross = covered[tails] & (owner[heads] != owner[tails])
     heads, tails, g = heads[cross], tails[cross], g[cross]

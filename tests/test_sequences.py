@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 import sequence_oracle
 from conftest import disc_points
-from disclab import geometry, sequences
+from disclab import capacity, geometry, sequences
 from disclab.errors import DisclabError, DomainError, InputError
 from disclab.geometry import Arc, DiscPoint
 from disclab.sequences import Sequence
@@ -360,6 +360,26 @@ class TestInterpolant:
         seq, blocks = setup
         with pytest.raises(InputError):
             sequences.assemble_sobolev_interpolant(seq, [1.0, 2.0], blocks=blocks)
+
+    def test_build_takes_the_stencil_rows_of_its_solve(self, setup, monkeypatch):
+        # the solve and the Gram couplings need the rows of the same covered nodes
+        seq, _ = setup
+        built = []
+        stencil = capacity.PolarGrid._stencil
+
+        def recording(grid, nodes):
+            built.append(stencil(grid, nodes))
+            return built[-1]
+
+        monkeypatch.setattr(capacity.PolarGrid, "_stencil", recording)
+        grid = sequences._build_blocks(seq, 0.75, (48, 192)).grid
+        assert len(built) == 2 and built[1] is built[0]
+        # the build took them, and a solve without parts keeps none
+        assert grid._kept_stencil is None
+        mask0 = np.zeros(grid.n_nodes, dtype=bool)
+        mask0[0] = True
+        grid.solve(mask0, grid.node_r == 1.0)
+        assert grid._kept_stencil is None
 
 
 class TestSerialization:
