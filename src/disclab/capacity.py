@@ -40,7 +40,7 @@ rows give the residual every solve is checked against.  scipy is
 imported only inside the functions that use it, so importing disclab
 does not load it.
 
-The dense and banded factorisations (the equilibrium LU, the
+The dense and banded factorisations (the equilibrium LDL^T, the
 capacitance Cholesky, the banded Cholesky) run on one BLAS thread, set
 for the calling thread for the duration of the call (see _blas).  At
 these sizes OpenBLAS's second thread pays too little.  After any solve
@@ -48,8 +48,9 @@ of 128 rows or more its worker busy-waits about 120 ms for more work, so
 in a loop of solves it never sleeps and the CPU time doubles; and of 300
 back-to-back threaded solves of 128 rows, 6 stalled for up to 116 ms,
 where on one thread the slowest took 0.7 ms (numpy 2.4 with OpenBLAS
-0.3.31, 2 vCPUs).  One thread costs about 13% of the wall time of an
-equilibrium solve on 1536 nodes (64 arcs) and 30% on 3072.
+0.3.31, 2 vCPUs).  The equilibrium LDL^T needs half the multiply-adds
+of an LU, so on one thread it beats numpy's LU on two: 41-51 against
+67-76 ms on 1536 nodes (64 arcs) and 292-328 against 366-377 ms on 3072.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ RIDGE_FACTOR = 1e-10
 
 # rows per strip of the equilibrium energy matrix; temporaries stay O(n * block)
 _KERNEL_BLOCK = 64
+_STRICT_LOWER = np.tri(_KERNEL_BLOCK, k=-1, dtype=bool)
 
 # largest residual of a grid solve, relative to each free node's conductance sum
 RESIDUAL_BOUND = 1e-10
@@ -155,19 +157,41 @@ def _energy_matrix(angles: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return k
 
 
+def _lower_energy(k: np.ndarray, diag: np.ndarray, w: np.ndarray) -> float:
+    """w^T K w from K's strict lower triangle in k and its diagonal, in strips of rows."""
+    n = len(w)
+    below = 0.0
+    for a in range(0, n, _KERNEL_BLOCK):
+        b = min(a + _KERNEL_BLOCK, n)
+        square = np.where(_STRICT_LOWER[: b - a, : b - a], k[a:b, a:b], 0.0)
+        below += float(w[a:b] @ (k[a:b, :a] @ w[:a] + square @ w[a:b]))
+    return 2.0 * below + float(w @ (diag * w))
+
+
+def _ridge_condition(k: np.ndarray, ridged: np.ndarray) -> float:
+    """Condition number of K plus the ridge, rebuilt from k's strict lower triangle."""
+    full = np.tril(k, -1)
+    full += full.T
+    np.fill_diagonal(full, ridged)
+    return float(np.linalg.cond(full))
+
+
 def equilibrium_measure(arcs: list[Arc], quad_nodes_per_arc: int = 24) -> EquilibriumMeasure:
     """Equilibrium measure of a finite union of disjoint arcs.
 
     The unit-mass measure with constant potential on the nodes minimises
     w^T K w subject to sum(w) = 1, so it is x / sum(x) for K x = 1.  A
     ridge of RIDGE_FACTOR times K's mean diagonal is added to the
-    diagonal in place and the saved diagonal is put back before the
-    energy w^T K w, so the solve works in the one n x n matrix plus the
-    copy LAPACK factors.  The factorisation is LU with partial pivoting,
-    not Cholesky: K is symmetric but not always definite, e.g. on the
-    full circle, where the two end nodes nearly meet across the wrap.
+    diagonal in place, and LAPACK's rook-pivoted LDL^T factorisation
+    (_blas.solve_symmetric) factors the upper triangle of the same
+    matrix in place, so the solve works in the one n x n matrix with no
+    copy: the strict lower triangle and the saved diagonal still hold K.
+    LDL^T, not Cholesky: K is symmetric but not always definite, e.g. on
+    the full circle, where the two end nodes nearly meet across the wrap.
     Nonnegativity is enforced by an active-set sweep: nodes with negative
-    weight are dropped and the system on the rest solved again.
+    weight are dropped and the system on the rest, gathered from the
+    lower triangle with the ridged diagonal, solved again.  The energy
+    w^T K w is summed from the lower triangle and the saved diagonal.
     """
     if quad_nodes_per_arc < 8:
         raise DomainError(f"need >= 8 nodes per arc, got {quad_nodes_per_arc}")
@@ -187,17 +211,24 @@ def equilibrium_measure(arcs: list[Arc], quad_nodes_per_arc: int = 24) -> Equili
     k = _energy_matrix(angles, widths)
     n = len(angles)
     diag = k.diagonal().copy()
-    np.fill_diagonal(k, diag + RIDGE_FACTOR * np.trace(k) / n)
+    ridged = diag + RIDGE_FACTOR * np.trace(k) / n
+    np.fill_diagonal(k, ridged)
 
     with _blas.single_thread():
         active = np.ones(n, dtype=bool)
         for _ in range(25):
             idx = np.flatnonzero(active)
+            if len(idx) == n:
+                # factored in place over the upper triangle; K stays in the lower
+                block, lower = k, False
+            else:
+                block, lower = k[np.ix_(idx, idx)], True
+                np.fill_diagonal(block, ridged[idx])
             try:
-                x = np.linalg.solve(k if len(idx) == n else k[np.ix_(idx, idx)], np.ones(len(idx)))
+                x = _blas.solve_symmetric(block, np.ones(len(idx)), lower)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(
-                    f"equilibrium system singular: {exc}", condition=float(np.linalg.cond(k))
+                    f"equilibrium system singular: {exc}", condition=_ridge_condition(k, ridged)
                 ) from exc
             w = np.zeros(n)
             w[idx] = x / x.sum()
@@ -208,10 +239,9 @@ def equilibrium_measure(arcs: list[Arc], quad_nodes_per_arc: int = 24) -> Equili
         w = np.maximum(w, 0.0)
         total = w.sum()
         if not math.isfinite(total) or total <= 0:
-            raise NumericalError("equilibrium weights degenerate", condition=float(np.linalg.cond(k)))
+            raise NumericalError("equilibrium weights degenerate", condition=_ridge_condition(k, ridged))
         w /= total
-        np.fill_diagonal(k, diag)
-        energy = float(w @ k @ w)
+        energy = _lower_energy(k, diag, w)
     if not math.isfinite(energy) or energy <= 0:
         raise NumericalError(f"nonpositive equilibrium energy {energy}")
     return EquilibriumMeasure(angles, w, energy)

@@ -3,9 +3,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from disclab import _blas
+import equilibrium_oracle
+from disclab import _blas, capacity
+from disclab.geometry import Arc
 
 SRC = str(Path(_blas.__file__).resolve().parents[1])
 
@@ -68,7 +72,7 @@ class TestScope:
 
 
 def test_no_idle_spin_after_equilibrium_solve():
-    # a threaded LU of this size leaves OpenBLAS's worker busy-waiting for
+    # a threaded factorisation of this size leaves OpenBLAS's worker busy-waiting for
     # about 124 ms, which a 50 ms sleep would count as about 50 ms of CPU
     code = (
         "import math, time; from disclab import capacity; from disclab.geometry import Arc; "
@@ -79,3 +83,83 @@ def test_no_idle_spin_after_equilibrium_solve():
     nodes, cpu = _run(code).split()
     assert int(nodes) == 1536
     assert float(cpu) < 0.010
+
+
+def _symmetric(n: int, seed: int, kind: str) -> np.ndarray:
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    if kind == "definite":
+        return g @ g.T / n + 0.1 * np.eye(n)
+    a = g + g.T
+    if kind == "zero diagonal":  # every pivot is a 2 x 2 block or a swap
+        np.fill_diagonal(a, 0.0)
+    return a
+
+
+class TestSolveSymmetric:
+    @given(
+        st.integers(1, 200),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["definite", "indefinite", "zero diagonal"]),
+        st.booleans(),
+    )
+    def test_matches_lu_solve(self, n, seed, kind, lower):
+        assume(n > 1 or kind != "zero diagonal")
+        a = _symmetric(n, seed, kind)
+        b = np.random.default_rng(seed + 1).standard_normal(n)
+        x = _blas.solve_symmetric(a.copy(), b.copy(), lower)
+        reference = np.linalg.solve(a, b)
+        scale = np.abs(a).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+        assert np.abs(a @ x - b).max() <= 1e-12 * scale
+        assert np.abs(x - reference).max() <= 1e-12 * np.linalg.cond(a) * np.abs(reference).max()
+
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+    def test_other_triangle_untouched(self, n, lower):
+        a = _symmetric(n, n, "indefinite")
+        other = np.triu_indices(n, 1) if lower else np.tril_indices(n, -1)
+        before = a[other]
+        b = np.ones(n)
+        x = _blas.solve_symmetric(a, b, lower)
+        assert x is b
+        assert np.array_equal(a[other], before)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("symbol", ["found", "missing"])
+    def test_reads_only_its_triangle(self, monkeypatch, symbol, lower):
+        if symbol == "missing":
+            monkeypatch.setattr(_blas, "_sysv_rook", lambda: None)
+        a = _symmetric(65, 3, "indefinite")
+        held = a.copy()
+        held[np.triu_indices(65, 1) if lower else np.tril_indices(65, -1)] = np.nan
+        x = _blas.solve_symmetric(held, np.ones(65), lower)
+        assert np.abs(a @ x - 1.0).max() <= 1e-12 * (np.abs(a).sum(axis=1).max() * np.abs(x).max() + 1.0)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("a", [np.zeros((3, 3)), np.ones((2, 2))], ids=["zero", "rank one"])
+    def test_exactly_singular_raises(self, a, lower):
+        with pytest.raises(np.linalg.LinAlgError):
+            _blas.solve_symmetric(a.copy(), np.ones(len(a)), lower)
+
+    def test_rejects_wrong_layout(self):
+        with pytest.raises(ValueError):
+            _blas.solve_symmetric(np.asfortranarray(np.eye(3) + np.tri(3)), np.ones(3), True)
+        with pytest.raises(ValueError):
+            _blas.solve_symmetric(np.eye(3, dtype=np.float32), np.ones(3), True)
+
+    @pytest.mark.parametrize(
+        "arcs",
+        [
+            [Arc(0.0, 1.0)],
+            [Arc(5.073419076239693, 0.5146155028463495), Arc(2.562352128421005, 0.8214097941892161)],
+            [Arc(2.0 * np.pi * j / 16, 0.01) for j in range(16)],
+        ],
+        ids=["full circle", "second sweep", "16 arcs"],
+    )
+    def test_fallback_without_the_symbol(self, monkeypatch, arcs):
+        # where numpy's LAPACK has no dsysv_rook, np.linalg.solve on a copy runs
+        monkeypatch.setattr(_blas, "_sysv_rook", lambda: None)
+        mu = capacity.equilibrium_measure(arcs)
+        nodes, weights, energy, _ = equilibrium_oracle.equilibrium_measure(arcs)
+        assert np.array_equal(mu.nodes, nodes)
+        assert mu.energy == pytest.approx(energy, rel=1e-12)
+        assert np.abs(mu.weights - weights).max() <= 1e-12

@@ -7,8 +7,8 @@ from hypothesis import example, given, strategies as st
 import equilibrium_oracle
 import plate_oracle
 from conftest import angles, arc_lengths, disc_points
-from disclab import capacity, geometry
-from disclab.errors import DomainError, ResolutionError
+from disclab import _blas, capacity, geometry
+from disclab.errors import DomainError, NumericalError, ResolutionError
 from disclab.geometry import ORIGIN, Arc, CarlesonBox, DiscPoint, HyperbolicDisc
 
 
@@ -91,6 +91,36 @@ class TestEquilibriumOracle:
         arcs = [Arc(5.073419076239693, 0.5146155028463495), Arc(2.562352128421005, 0.8214097941892161)]
         assert equilibrium_oracle.equilibrium_measure(arcs)[3] == 2
         assert_matches_oracle(arcs)
+
+
+class TestEquilibriumErrors:
+    ARCS = [Arc(0.3 + 1.5 * j, 0.05) for j in range(4)]
+
+    def oracle_condition(self):
+        nodes, widths = equilibrium_oracle.nodes(self.ARCS)
+        k = equilibrium_oracle.energy_matrix(nodes, widths)
+        n = len(nodes)
+        return np.linalg.cond(k + (capacity.RIDGE_FACTOR * np.trace(k) / n) * np.eye(n))
+
+    def test_singular_system_reports_ridge_condition(self, monkeypatch):
+        # after the in-place factorisation k no longer holds K; the condition
+        # comes from its untouched triangle and the ridge diagonal
+        fn, per_row = _blas._sysv_rook()
+
+        def singular(*args):
+            fn(*args)
+            args[10].value = 1  # info: D[0] exactly zero
+
+        monkeypatch.setattr(_blas, "_sysv_rook", lambda: (singular, per_row))
+        with pytest.raises(NumericalError, match="singular") as caught:
+            capacity.equilibrium_measure(self.ARCS)
+        assert caught.value.condition == pytest.approx(self.oracle_condition(), rel=1e-12)
+
+    def test_degenerate_weights_report_ridge_condition(self, monkeypatch):
+        monkeypatch.setattr(_blas, "solve_symmetric", lambda a, b, lower: np.full(len(b), np.nan))
+        with pytest.raises(NumericalError, match="degenerate") as caught:
+            capacity.equilibrium_measure(self.ARCS)
+        assert caught.value.condition == pytest.approx(self.oracle_condition(), rel=1e-12)
 
 
 class TestArcNodes:

@@ -309,7 +309,8 @@ def test_import_loads_no_scipy():
 
 
 def test_equilibrium_route_loads_no_scipy():
-    # the equilibrium solve is numpy's dense LU, which cc and `capacity arcs` run once per call
+    # the equilibrium solve is an LDL^T factorisation in numpy's own LAPACK, which cc and
+    # `capacity arcs` run once per call
     code = (
         "from disclab import capacity; from disclab.geometry import Arc; "
         "capacity.log_capacity([Arc(0.3 + 1.5 * j, 0.05) for j in range(4)])"
