@@ -14,9 +14,9 @@ single arcs (frozen constants below).
 
 The grid's cost follows the plates, not the grid: a plate is rasterized
 by testing only a window of rings and angles around it, and no global
-Laplacian is assembled.  The five-point stencil rows of any node set
-come from the ring radii and the ring and angle indices, so a grid's
-set-up is O(n_r + n_t) plus the node coordinates.
+Laplacian is assembled.  The conductances depend only on the ring, so
+a grid's set-up is O(n_r + n_t); the node coordinates are built only
+when read.
 
 A condenser solve is a capacitance-matrix method (Buzbee, Dorr, George
 & Golub, SIAM J. Numer. Anal. 8, 1971; Proskurowski & Widlund, Math.
@@ -26,19 +26,30 @@ rings per mode.  The plates enter only through the fixed nodes next to
 free ones, a few hundred at 128x256: the grounded Green's function on
 them, built from the modes by inverse FFTs, is Cholesky-factored for
 the charges that hold those nodes at their values, and one FFT, the
-tridiagonal solves and one inverse FFT give the field.  A solve with
-part labels cuts the edges between parts, so one factorisation serves a
-whole set of interpolant blocks.  That system on the free nodes is built
-from their stencil rows and is block diagonal, one block per part.  With
-each part's nodes in its own (ring, column) order, the shorter side
-inner, it is a band as wide as the widest part's shorter side (a
+tridiagonal solves and one inverse FFT give the field.  The rest of the
+solve works on the ring nodes as one (ring, angle) array, where each
+edge family (angular, radial, the centre's spokes) is one slice or roll
+difference: the layer of fixed nodes next to free ones comes from the
+free mask shifted one step each way, and the residual every free node
+is checked against and the energy from the flows along the edges.  No
+node's stencil row is built.
+
+A solve with part labels cuts the edges between parts, so one
+factorisation serves a whole set of interpolant blocks.  That system on
+the free nodes is built from the five-point stencil rows of the nodes
+outside the zero plate, which come from the ring radii and the ring and
+angle indices, and is block diagonal, one block per part.  With each
+part's nodes in its own (ring, column) order, the shorter side inner,
+it is a band as wide as the widest part's shorter side (a
 bandwidth-reducing order in the sense of Cuthill & McKee, Proc. 24th
 ACM National Conference, 1969), and LAPACK's banded Cholesky
-factorisation takes O(n b^2) for n unknowns in a band of b.  The
-energy sums only the rows of free or Dirichlet-one nodes, and the same
-rows give the residual every solve is checked against.  scipy is
-imported only inside the functions that use it, so importing disclab
-does not load it.
+factorisation takes O(n b^2) for n unknowns in a band of b.  The parts'
+energies sum only the rows of free or Dirichlet-one nodes, and the same
+rows give the residual.  Rows cost in proportion to the live nodes, an
+interpolant's small supports, where the arrays cost in proportion to the
+whole grid.
+scipy is imported only inside the functions that use it, so importing
+disclab does not load it.
 
 The dense and banded factorisations (the equilibrium LDL^T, the
 capacitance Cholesky, the banded Cholesky) run on one BLAS thread, set
@@ -368,10 +379,19 @@ class PolarGrid:
         face = 0.5 * (r[:-1] + r[1:])
         self._g_radial = np.concatenate([[0.5 * self.dtheta], face * self.dtheta / (r[1:] - r[:-1])])
         self._g_angular = self.cell_widths / (r * self.dtheta)
-        # flat node coordinates for rasterization
-        self.node_r = np.concatenate([[0.0], np.repeat(self.ring_r, n_t)])
-        self.node_t = np.concatenate([[0.0], np.tile(self.thetas, self.n_rings)])
+        # a ring node's conductance sum; the centre's is n_t _g_radial[0]
+        self._g_sum = 2.0 * self._g_angular + self._g_radial + np.append(self._g_radial[1:], 0.0)
         self._kept_stencil = None
+
+    @functools.cached_property
+    def node_r(self) -> np.ndarray:
+        """The radius of every node, indexed like the grid's nodes."""
+        return np.concatenate([[0.0], np.repeat(self.ring_r, self.n_t)])
+
+    @functools.cached_property
+    def node_t(self) -> np.ndarray:
+        """The angle of every node, indexed like the grid's nodes (the centre's is 0)."""
+        return np.concatenate([[0.0], np.tile(self.thetas, self.n_rings)])
 
     def _stencil(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Five-point stencil rows of the given nodes: (heads, tails, g).
@@ -385,7 +405,7 @@ class PolarGrid:
         neighbour is the centre node and the last ring has no outer one.
         The centre node's row holds its n_t spokes to ring 0.
 
-        A solve with parts leaves its rows to the next call (see solve),
+        A solve with parts leaves its rows to the next call (see _parts_solve),
         which takes them if its node set is the same.
         """
         kept, self._kept_stencil = self._kept_stencil, None
@@ -558,25 +578,72 @@ class PolarGrid:
             x[:, k] += rho[:, k] * x[:, k + 1]
         return x
 
+    def _layer(self, free: np.ndarray) -> np.ndarray:
+        """The fixed ring nodes with a free neighbour, increasing.
+
+        On the (ring, angle) array of the ring nodes a node's neighbours
+        are one step away along either axis, wrapping in angle; ring 0
+        also neighbours the centre node.
+        """
+        ring_free = free[1:].reshape(self.n_rings, self.n_t)
+        near = np.roll(ring_free, 1, axis=1)
+        near |= np.roll(ring_free, -1, axis=1)
+        near[1:] |= ring_free[:-1]
+        near[:-1] |= ring_free[1:]
+        near[0] |= free[0]
+        near &= ~ring_free
+        return 1 + np.flatnonzero(near)
+
+    def _flows(self, u: np.ndarray) -> tuple[np.ndarray, float]:
+        """(L u, energy): the grid Laplacian of u at every node and u's Dirichlet energy.
+
+        Both come from u's ring nodes as a (ring, angle) array, one edge
+        family at a time: the angular edges from each node to the next
+        on its ring, g = _g_angular[k] on ring k; the radial edges from
+        ring k to ring k + 1, g = _g_radial[k + 1]; and the centre's
+        spokes to ring 0, g = _g_radial[0].  The flow g d along an edge
+        whose ends differ by d enters L u at its first end with + and at
+        its second with -, and the energy sums g d^2 over every edge.
+        """
+        rings = u[1:].reshape(self.n_rings, self.n_t)
+        angular = rings - np.roll(rings, -1, axis=1)
+        radial = rings[:-1] - rings[1:]
+        spokes = u[0] - rings[0]
+        energy = float(
+            self._g_angular @ np.einsum("kj,kj->k", angular, angular)
+            + self._g_radial[1:] @ np.einsum("kj,kj->k", radial, radial)
+            + self._g_radial[0] * (spokes @ spokes)
+        )
+        angular *= self._g_angular[:, None]
+        radial *= self._g_radial[1:, None]
+        spokes *= self._g_radial[0]
+        lu = np.empty(self.n_nodes)
+        lu[0] = spokes.sum()
+        ring_lu = lu[1:].reshape(self.n_rings, self.n_t)
+        np.subtract(angular, np.roll(angular, 1, axis=1), out=ring_lu)
+        ring_lu[:-1] += radial
+        ring_lu[1:] -= radial
+        ring_lu[0] -= spokes
+        return lu, energy
+
     def _capacitance_solve(self, u: np.ndarray, free: np.ndarray, layer: np.ndarray) -> np.ndarray:
         """Harmonic values on the free nodes, given u on the fixed ones.
 
-        layer holds the fixed nodes with a free neighbour.  Let G be the
-        grounded Green's function (see _green) and put charges sigma on
-        the layer's ring nodes: c + G sigma is harmonic at every free ring
-        node.  It takes u's values on the layer if G's block on the layer,
-        the capacitance matrix, maps sigma to u - c there.  That block is
-        a principal block of the inverse of the grounded operator, so it
-        is SPD and is Cholesky-factored.  When the centre is fixed, c is
-        its value (a fixed centre off the layer touches no free node, so
-        any c would do); when it is free, being harmonic there means the
-        charges sum to 0, which fixes c.  The field then comes from one
-        real FFT in angle, the tridiagonal solves over the rings and one
-        inverse FFT.
+        layer holds the fixed ring nodes with a free neighbour (see
+        _layer).  Let G be the grounded Green's function (see _green)
+        and put charges sigma on the layer: c + G sigma is harmonic at
+        every free ring node.  It takes u's values on the layer if G's
+        block on the layer, the capacitance matrix, maps sigma to u - c
+        there.  That block is a principal block of the inverse of the
+        grounded operator, so it is SPD and is Cholesky-factored.  When
+        the centre is fixed, c is its value: G grounds the centre, so
+        c + G sigma holds it at c.  When it is free, being harmonic there
+        means the charges sum to 0, which fixes c.  The field then comes
+        from one real FFT in angle, the tridiagonal solves over the rings
+        and one inverse FFT.
         """
         import scipy.linalg
 
-        layer = layer[layer > 0]
         if not len(layer):  # only the centre is fixed: every free node takes its value
             return np.full(np.count_nonzero(free), u[0])
         with _blas.single_thread():
@@ -609,54 +676,64 @@ class PolarGrid:
         the parts' energies indexed by label.
 
         Without parts the free values come from the capacitance matrix
-        of the fixed nodes next to free ones (see _capacitance_solve).
-        With parts the system on the free nodes is built from their
-        stencil rows.  It is symmetric positive definite (the grid graph
-        is connected, the fixed set is not empty, and a cut edge leaves
-        its g on the diagonal), and no edge joins two parts, so in the
-        parts' band order (see _band_order) one banded Cholesky
-        factorisation solves it (see _banded_solve); a factorisation
-        that fails raises a NumericalError.
+        of the fixed ring nodes next to free ones (see _capacitance_solve
+        and _layer), and the residual L u at every free node, the centre
+        included, and the energy come from the ring x angle arrays (see
+        _flows), so no node's stencil row is built.  With parts the
+        system on the free nodes is built from the stencil rows of the
+        nodes outside mask0 (see _parts_solve).
 
-        Every edge with no end at a free or mask1 node joins two zeros,
-        so the energy sums only the stencil rows of those nodes.  The
-        same rows give each free node's residual; a NumericalError is
-        raised if one exceeds RESIDUAL_BOUND times the node's conductance
-        sum, its scale for values in [0, 1].
+        Each route checks every free node's residual: a NumericalError
+        is raised if one exceeds RESIDUAL_BOUND times the node's
+        conductance sum, its scale for values in [0, 1].
         """
         if (mask0 & mask1).any():
             return np.zeros(self.n_nodes), 0.0 if parts is None else np.zeros(parts.max() + 1)
         u = np.zeros(self.n_nodes)
         u[mask1] = 1.0
+        if parts is not None:
+            return u, self._parts_solve(u, mask0, mask1, parts)
+        free = ~(mask0 | mask1)
+        if free.any():
+            u[free] = self._capacitance_solve(u, free, self._layer(free))
+        lu, energy = self._flows(u)
+        lu[0] /= self.n_t * self._g_radial[0]
+        ring_lu = lu[1:].reshape(self.n_rings, self.n_t)
+        ring_lu /= self._g_sum[:, None]
+        _check_residual(lu[free])
+        return u, energy
+
+    def _parts_solve(self, u: np.ndarray, mask0: np.ndarray, mask1: np.ndarray, parts: np.ndarray) -> np.ndarray:
+        """Harmonic values part by part into u's free nodes; returns the parts' energies by label.
+
+        The system on the free nodes comes from the stencil rows of the
+        nodes outside mask0, with the edges between parts cut.  It is
+        symmetric positive definite (the grid graph is connected, the
+        fixed set is not empty, and a cut edge leaves its g on the
+        diagonal), and no edge joins two parts, so in the parts' band
+        order (see _band_order) one banded Cholesky factorisation solves
+        it (see _banded_solve).  Every edge with no end outside mask0
+        joins two zeros, so the energy sums only the same rows, which
+        also give each free node's residual.  The rows are left to the
+        next stencil call (see _stencil).
+        """
         live = ~mask0
         nodes = np.flatnonzero(live)
         heads, tails, g = rows = self._stencil(nodes)
-        joined = live[tails]
-        if parts is not None:
-            joined &= parts[heads] == parts[tails]
-            # the block build reads the couplings between parts off the same rows
-            self._kept_stencil = (nodes, rows)
+        joined = live[tails] & (parts[heads] == parts[tails])
+        # the block build reads the couplings between parts off the same rows
+        self._kept_stencil = (nodes, rows)
         free = live & ~mask1
         if free.any():
-            if parts is None:
-                layer = np.unique(tails[free[heads] & ~free[tails]])
-                u[free] = self._capacitance_solve(u, free, layer)
-            else:
-                u[free] = self._banded_solve(free, mask1, parts, heads, tails, g, joined)
+            u[free] = self._banded_solve(free, mask1, parts, heads, tails, g, joined)
         d = u[heads] - np.where(joined, u[tails], 0.0)
         residual = np.bincount(heads, weights=g * d, minlength=self.n_nodes)[free]
         scale = np.bincount(heads, weights=g, minlength=self.n_nodes)[free]
-        worst = float(np.max(np.abs(residual) / scale, initial=0.0))
-        if not worst <= RESIDUAL_BOUND:
-            raise NumericalError(
-                f"grid solve residual {worst:.3g} of the conductance sum exceeds {RESIDUAL_BOUND:g}", estimate=worst
-            )
-        # an edge joining two live nodes sits in both their rows: count it once
+        _check_residual(residual / scale)
+        # an edge joining two live nodes of one part sits in both their rows: count it once
         once = ~joined | (heads < tails)
         terms = (g * d * d)[once]
-        if parts is None:
-            return u, float(np.sum(terms))
-        return u, np.bincount(parts[heads[once]], weights=terms, minlength=parts.max() + 1)
+        return np.bincount(parts[heads[once]], weights=terms, minlength=parts.max() + 1)
 
     def _band_order(self, nodes: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """The order of the given nodes (increasing) that keeps each part in a narrow band.
@@ -756,6 +833,15 @@ class PolarGrid:
                 f"banded system on {n_free} nodes, bandwidth {len(ab) - 1}, not positive definite: {exc}"
             ) from exc
         return x[pos[nodes]]
+
+
+def _check_residual(relative: np.ndarray) -> None:
+    """Raise a NumericalError if a residual, relative to its node's conductance sum, exceeds RESIDUAL_BOUND."""
+    worst = float(np.max(np.abs(relative), initial=0.0))
+    if not worst <= RESIDUAL_BOUND:
+        raise NumericalError(
+            f"grid solve residual {worst:.3g} of the conductance sum exceeds {RESIDUAL_BOUND:g}", estimate=worst
+        )
 
 
 def _angles_in_arc(thetas: np.ndarray, arc: Arc) -> np.ndarray:

@@ -134,6 +134,16 @@ class TestStencil:
             _check_stencil_rows(grid, nodes)
 
 
+def test_setup_builds_no_per_node_array():
+    grid = capacity.PolarGrid(128, 512)
+    assert max(np.size(value) for value in vars(grid).values()) <= max(grid.n_rings, grid.n_t)
+    # the node coordinates, built when read
+    assert grid.node_r[0] == grid.node_t[0] == 0.0
+    rings = (grid.n_rings, grid.n_t)
+    assert np.array_equal(grid.node_r[1:].reshape(rings), np.broadcast_to(grid.ring_r[:, None], rings))
+    assert np.array_equal(grid.node_t[1:].reshape(rings), np.broadcast_to(grid.thetas, rings))
+
+
 def _criterion_07_configuration():
     """The first configuration criterion 07 draws."""
     rng = np.random.default_rng(0)
@@ -325,6 +335,78 @@ class TestCapacitanceSolve:
         monkeypatch.setattr(scipy.linalg, "cho_solve", lambda *a, **k: cho_solve(*a, **k) * (1.0 + 1e-6))
         with pytest.raises(NumericalError, match="residual"):
             capacity.PolarGrid.solve(*self._condenser())
+
+    def test_residual_guard_at_the_free_centre(self, monkeypatch):
+        grid, mask0, mask1 = self._condenser()
+        assert not (mask0[0] or mask1[0])
+        delta = 10.0 * capacity.RESIDUAL_BOUND
+        # ring 0 sees delta through one spoke, g_radial[0] of its conductance
+        # sum: below the bound there, so only the centre's own residual can fire
+        assert grid._g_radial[0] * delta < 0.1 * capacity.RESIDUAL_BOUND * grid._g_sum[0]
+        capacitance_solve = capacity.PolarGrid._capacitance_solve
+
+        def centre_off(self, *args):
+            values = capacitance_solve(self, *args)
+            values[0] += delta  # the centre is the first free node
+            return values
+
+        monkeypatch.setattr(capacity.PolarGrid, "_capacitance_solve", centre_off)
+        with pytest.raises(NumericalError, match="residual"):
+            grid.solve(mask0, mask1)
+
+    def test_builds_no_stencil_rows(self, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a condenser solve built stencil rows")
+
+        monkeypatch.setattr(capacity.PolarGrid, "_stencil", no_rows)
+        grid, mask0, mask1 = self._condenser()
+        u, energy = grid.solve(mask0, mask1)
+        assert energy > 0.0
+
+
+@st.composite
+def ring_cases(draw):
+    """(grid, mask0, mask1, u): disjoint masks, and values 0 on mask0, 1 on mask1 and random elsewhere.
+
+    The cases: the centre free (a box down to a ring's radius, which on
+    ring 0 fixes some or all of the centre's neighbours), in mask0 or in
+    mask1 (a box down to radius 0), plates on the last ring only, and no
+    free node at all.
+    """
+    grid = draw(small_grids())
+    case = draw(st.sampled_from(["centre free", "centre in mask0", "centre in mask1", "last ring", "no free node"]))
+    last_ring = st.lists(arcs(grid), min_size=1, max_size=2)
+    if case == "centre free":
+        plates0 = [CarlesonBox(draw(arcs(grid)), draw(st.sampled_from(list(grid.ring_r))))]
+        plates1 = draw(last_ring)
+    elif case == "centre in mask0":
+        plates0, plates1 = [CarlesonBox(draw(_short_arcs(grid)), 0.0)], draw(last_ring)
+    elif case == "centre in mask1":
+        plates0, plates1 = draw(last_ring), [CarlesonBox(draw(_short_arcs(grid)), 0.0)]
+    else:
+        plates0, plates1 = draw(last_ring), draw(last_ring)
+    mask0 = _union(grid, plates0)
+    mask1 = ~mask0 if case == "no free node" else _union(grid, plates1) & ~mask0
+    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 2.0, grid.n_nodes)
+    u[mask0], u[mask1] = 0.0, 1.0
+    return grid, mask0, mask1, u
+
+
+class TestRingArrays:
+    @settings(max_examples=300)
+    @given(ring_cases())
+    def test_match_stencil_rows_and_oracle(self, case):
+        grid, mask0, mask1, u = case
+        free = ~(mask0 | mask1)
+        heads, tails, _ = grid._stencil(np.flatnonzero(~mask0))
+        layer = np.unique(tails[free[heads] & ~free[tails]])
+        assert np.array_equal(grid._layer(free), layer[layer > 0])
+        lu, energy = grid._flows(u)
+        laplacian = grid_oracle.laplacian(grid)
+        scale = abs(laplacian) @ np.abs(u)
+        assert np.all(np.abs(lu - laplacian @ u)[free] <= 1e-13 * scale[free])
+        want = grid_oracle.energy(grid, u)
+        assert abs(energy - want) <= 1e-13 * want
 
 
 @st.composite
