@@ -43,11 +43,11 @@ part's nodes in its own (ring, column) order, the shorter side inner,
 it is a band as wide as the widest part's shorter side (a
 bandwidth-reducing order in the sense of Cuthill & McKee, Proc. 24th
 ACM National Conference, 1969), and LAPACK's banded Cholesky
-factorisation takes O(n b^2) for n unknowns in a band of b.  The parts'
-energies sum only the rows of free or Dirichlet-one nodes, and the same
-rows give the residual.  Rows cost in proportion to the live nodes, an
-interpolant's small supports, where the arrays cost in proportion to the
-whole grid.
+factorisation takes O(n b^2) for n unknowns in a band of b.  The same
+rows give the residual and the parts' Dirichlet form: each part's energy
+on the diagonal and, from the cut edges, the couplings between parts off
+it.  Rows cost in proportion to the live nodes, an interpolant's small
+supports, where the arrays cost in proportion to the whole grid.
 scipy is imported only inside the functions that use it, so importing
 disclab does not load it.
 
@@ -381,7 +381,6 @@ class PolarGrid:
         self._g_angular = self.cell_widths / (r * self.dtheta)
         # a ring node's conductance sum; the centre's is n_t _g_radial[0]
         self._g_sum = 2.0 * self._g_angular + self._g_radial + np.append(self._g_radial[1:], 0.0)
-        self._kept_stencil = None
 
     @functools.cached_property
     def node_r(self) -> np.ndarray:
@@ -404,13 +403,7 @@ class PolarGrid:
         the ring's ends, and j on rings k -+ 1, where ring 0's inner
         neighbour is the centre node and the last ring has no outer one.
         The centre node's row holds its n_t spokes to ring 0.
-
-        A solve with parts leaves its rows to the next call (see _parts_solve),
-        which takes them if its node set is the same.
         """
-        kept, self._kept_stencil = self._kept_stencil, None
-        if kept is not None and np.array_equal(kept[0], nodes):
-            return kept[1]
         nt = self.n_t
         spokes = nt if len(nodes) and nodes[0] == 0 else 0  # the centre node comes first
         ring_nodes = nodes[1:] if spokes else nodes
@@ -672,8 +665,8 @@ class PolarGrid:
 
         parts, if given, labels every node outside mask0 with an integer
         >= 0.  An edge between two parts is cut: each side sees 0 across
-        it, as if the other part were in mask0, and energy is the array of
-        the parts' energies indexed by label.
+        it, as if the other part were in mask0, and energy is the parts'
+        Dirichlet form B L B^T by label (row i of B is u on part i, 0 off it).
 
         Without parts the free values come from the capacitance matrix
         of the fixed ring nodes next to free ones (see _capacitance_solve
@@ -688,7 +681,7 @@ class PolarGrid:
         conductance sum, its scale for values in [0, 1].
         """
         if (mask0 & mask1).any():
-            return np.zeros(self.n_nodes), 0.0 if parts is None else np.zeros(parts.max() + 1)
+            return np.zeros(self.n_nodes), 0.0 if parts is None else np.zeros((parts.max() + 1,) * 2)
         u = np.zeros(self.n_nodes)
         u[mask1] = 1.0
         if parts is not None:
@@ -704,7 +697,7 @@ class PolarGrid:
         return u, energy
 
     def _parts_solve(self, u: np.ndarray, mask0: np.ndarray, mask1: np.ndarray, parts: np.ndarray) -> np.ndarray:
-        """Harmonic values part by part into u's free nodes; returns the parts' energies by label.
+        """Harmonic values part by part into u's free nodes; returns the parts' Dirichlet form.
 
         The system on the free nodes comes from the stencil rows of the
         nodes outside mask0, with the edges between parts cut.  It is
@@ -713,16 +706,13 @@ class PolarGrid:
         diagonal), and no edge joins two parts, so in the parts' band
         order (see _band_order) one banded Cholesky factorisation solves
         it (see _banded_solve).  Every edge with no end outside mask0
-        joins two zeros, so the energy sums only the same rows, which
-        also give each free node's residual.  The rows are left to the
-        next stencil call (see _stencil).
+        joins two zeros, so the form sums only the same rows, which also
+        give each free node's residual: the energies on the diagonal, and
+        off it -g u_h u_t of each cut edge between two parts.
         """
         live = ~mask0
-        nodes = np.flatnonzero(live)
-        heads, tails, g = rows = self._stencil(nodes)
+        heads, tails, g = self._stencil(np.flatnonzero(live))
         joined = live[tails] & (parts[heads] == parts[tails])
-        # the block build reads the couplings between parts off the same rows
-        self._kept_stencil = (nodes, rows)
         free = live & ~mask1
         if free.any():
             u[free] = self._banded_solve(free, mask1, parts, heads, tails, g, joined)
@@ -730,10 +720,15 @@ class PolarGrid:
         residual = np.bincount(heads, weights=g * d, minlength=self.n_nodes)[free]
         scale = np.bincount(heads, weights=g, minlength=self.n_nodes)[free]
         _check_residual(residual / scale)
+        n = parts.max() + 1
         # an edge joining two live nodes of one part sits in both their rows: count it once
         once = ~joined | (heads < tails)
-        terms = (g * d * d)[once]
-        return np.bincount(parts[heads[once]], weights=terms, minlength=parts.max() + 1)
+        energies = np.bincount(parts[heads[once]], weights=(g * d * d)[once], minlength=n)
+        # a cut edge between two parts sits in both their rows: once for each side of the form
+        cut = live[tails] & ~joined
+        heads, tails, g = heads[cut], tails[cut], g[cut]
+        coupling = np.bincount(parts[heads] * n + parts[tails], weights=g * u[heads] * u[tails], minlength=n * n)
+        return np.diag(energies) - coupling.reshape(n, n)
 
     def _band_order(self, nodes: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """The order of the given nodes (increasing) that keeps each part in a narrow band.

@@ -59,11 +59,14 @@ def _emit(report: dict, args):
 def _load_json(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise InputError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: want a JSON object, got a {type(data).__name__}")
+    return data
 
 
 def _parse_arcs(data) -> list:
@@ -84,7 +87,12 @@ def cmd_check(args) -> int:
     elif args.condition == "cc":
         report = sequences.check_capacitary_condition(seq, args.gamma, args.quad_nodes, args.budget)
     elif args.condition == "cm":
-        families = [_parse_arcs(f) for f in _load_json(args.arcs)["families"]]
+        if args.arcs is None:
+            raise InputError("check cm needs an arc-family file (--arcs)")
+        try:
+            families = [_parse_arcs(f) for f in _load_json(args.arcs)["families"]]
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"{args.arcs}: want a list of arc lists under 'families': {exc}") from exc
         report = sequences.check_carleson(seq, families, args.quad_nodes, args.budget)
     else:  # theorem-d
         report = sequences.check_theorem_d(seq, args.gamma, args.budget)

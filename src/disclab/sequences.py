@@ -75,17 +75,19 @@ class Sequence:
 def sequence_from_json(d: dict) -> Sequence:
     try:
         pts = tuple(geometry.point_from_json(p) for p in d["points"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed sequence JSON: {exc}") from exc
     return Sequence(pts, d.get("label", ""), d.get("tail_bound"))
 
 
 def load_sequence(path) -> Sequence:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     return sequence_from_json(data)
 
 
@@ -444,7 +446,8 @@ class InterpolantBlocks:
     The supports are pairwise disjoint, so the blocks are stored as one
     value per covered node: block owner[k] takes the value values[k] at
     node nodes[k] and vanishes off its support.  gram is the W^{1,2} form
-    on the blocks, B (L + diag(areas)) B^T.
+    on the blocks, B (L + diag(areas)) B^T: their one solve returns
+    B L B^T (see PolarGrid.solve), whose diagonal is block_energies.
     """
 
     grid: capacity.PolarGrid
@@ -480,19 +483,11 @@ def _build_blocks(seq: Sequence, gamma: float, resolution) -> InterpolantBlocks:
     # one solve for all blocks: the supports are its parts, so each block
     # sees 0 across the edges to its neighbours, as if they were in mask0
     covered = owner >= 0
-    u, energies = grid.solve(~covered, cores, owner)
+    u, form = grid.solve(~covered, cores, owner)
     nodes = np.flatnonzero(covered)
-    # a block's Dirichlet energy is its own diagonal entry; two blocks couple
-    # through the edges between their supports, each seen from both ends
     l2 = np.bincount(owner[nodes], weights=grid.node_areas()[nodes] * u[nodes] ** 2, minlength=n)
-    gram = np.diag(energies + l2)
-    # the covered nodes are the solve's live ones, so the grid hands back its rows
-    heads, tails, g = grid._stencil(nodes)
-    cross = covered[tails] & (owner[heads] != owner[tails])
-    heads, tails, g = heads[cross], tails[cross], g[cross]
-    coupling = np.bincount(owner[heads] * n + owner[tails], weights=g * u[heads] * u[tails], minlength=n * n)
-    gram -= coupling.reshape(n, n)
-    return InterpolantBlocks(grid, nodes, owner[nodes], u[nodes], energies, gram)
+    gram = form + np.diag(l2)
+    return InterpolantBlocks(grid, nodes, owner[nodes], u[nodes], form.diagonal(), gram)
 
 
 def assemble_sobolev_interpolant(

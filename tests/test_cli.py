@@ -255,6 +255,36 @@ class TestCapacity:
         assert "input error" in err
 
 
+# files written for the malformed-input cases, by name
+MALFORMED = {
+    "bad_point": {"points": [{"r": "x", "theta": 0}]},
+    "no_families": {"arcs": []},
+    "arc_list": [{"center_angle": 0.0, "length": 1.0}],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "ws", "{dir}/missing.json"],
+        ["check", "ws", "{bad_point}"],
+        ["check", "cm", "{seq}"],
+        ["check", "cm", "{seq}", "--arcs", "{no_families}"],
+        ["capacity", "arcs", "{arc_list}"],
+    ],
+    ids=["missing-sequence", "non-numeric-point", "cm-without-arcs", "arcs-without-families", "spec-not-an-object"],
+)
+def test_malformed_input_exits_2(argv, good_sequence, tmp_path, capsys):
+    paths = {"dir": str(tmp_path), "seq": str(good_sequence)}
+    for name, blob in MALFORMED.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(blob))
+    code, _, err = run([a.format(**paths) for a in argv], capsys)
+    assert code == 2
+    assert "input error" in err
+    assert "Traceback" not in err
+
+
 def test_console_script_entry_matches_main():
     """The `disclab` console script is declared as `disclab.cli:main`.
 

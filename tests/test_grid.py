@@ -205,13 +205,20 @@ class TestSolveEnergy:
         for label, c in enumerate(cols):
             parts[grid._nodes(k0, grid.n_rings, c)] = label
             cores[grid._nodes(grid.n_rings - 2, grid.n_rings, c[2:-2])] = True
-        u, energies = grid.solve(parts < 0, cores, parts)
-        assert energies.shape == (2,)
+        u, form = grid.solve(parts < 0, cores, parts)
+        assert form.shape == (2, 2)
+        wants = []
         for label in (0, 1):
             inside = parts == label
             want = grid_oracle.solve(grid, ~inside, cores & inside)
             assert np.abs(u[inside] - want[inside]).max() < 1e-12
-            assert energies[label] == pytest.approx(grid_oracle.energy(grid, want), rel=REL)
+            assert form[label, label] == pytest.approx(grid_oracle.energy(grid, want), rel=REL)
+            wants.append(np.where(inside, want, 0.0))
+        # the cut edges couple the parts: b0^T L b1, the same from either side
+        assert np.allclose(form, form.T, rtol=1e-14, atol=0.0)
+        coupling = wants[0] @ (grid_oracle.laplacian(grid) @ wants[1])
+        assert coupling < 0.0
+        assert form[0, 1] == pytest.approx(coupling, rel=1e-12)
 
 
 @st.composite
@@ -464,13 +471,13 @@ class TestBandedSolve:
     @given(labelled_windows())
     def test_matches_pivoting_oracle_part_by_part(self, windows):
         grid, parts, cores = windows
-        u, energies = grid.solve(parts < 0, cores, parts)
-        assert energies.shape == (parts.max() + 1,)
+        u, form = grid.solve(parts < 0, cores, parts)
+        assert form.shape == (parts.max() + 1,) * 2
         for label in np.unique(parts[parts >= 0]):
             inside = parts == label
             want = grid_oracle.solve(grid, ~inside, cores & inside)
             assert np.abs(u[inside] - want[inside]).max() < VALUES_TOL
-            assert energies[label] == pytest.approx(grid_oracle.energy(grid, want), rel=REL)
+            assert form[label, label] == pytest.approx(grid_oracle.energy(grid, want), rel=REL)
 
     @pytest.mark.parametrize(
         "windows, band",

@@ -361,25 +361,30 @@ class TestInterpolant:
         with pytest.raises(InputError):
             sequences.assemble_sobolev_interpolant(seq, [1.0, 2.0], blocks=blocks)
 
-    def test_build_takes_the_stencil_rows_of_its_solve(self, setup, monkeypatch):
-        # the solve and the Gram couplings need the rows of the same covered nodes
+    def test_build_builds_the_stencil_rows_once(self, setup, monkeypatch):
+        # the Gram matrix comes out of the blocks' one solve, which builds its rows once
         seq, _ = setup
-        built = []
+        calls = []
         stencil = capacity.PolarGrid._stencil
 
-        def recording(grid, nodes):
-            built.append(stencil(grid, nodes))
-            return built[-1]
+        def counting(grid, nodes):
+            calls.append(len(nodes))
+            return stencil(grid, nodes)
 
-        monkeypatch.setattr(capacity.PolarGrid, "_stencil", recording)
-        grid = sequences._build_blocks(seq, 0.75, (48, 192)).grid
-        assert len(built) == 2 and built[1] is built[0]
-        # the build took them, and a solve without parts keeps none
-        assert grid._kept_stencil is None
-        mask0 = np.zeros(grid.n_nodes, dtype=bool)
-        mask0[0] = True
-        grid.solve(mask0, grid.node_r == 1.0)
-        assert grid._kept_stencil is None
+        monkeypatch.setattr(capacity.PolarGrid, "_stencil", counting)
+        blocks = sequences._build_blocks(seq, 0.75, (48, 192))
+        assert calls == [len(blocks.nodes)]
+
+    def test_parts_solve_leaves_no_state_on_the_grid(self, setup):
+        _, blocks = setup
+        grid = blocks.grid
+        parts = np.full(grid.n_nodes, -1)
+        parts[blocks.nodes] = blocks.owner
+        cores = np.zeros(grid.n_nodes, dtype=bool)
+        cores[blocks.nodes[blocks.values == 1.0]] = True
+        before = set(vars(grid))
+        grid.solve(parts < 0, cores, parts)
+        assert set(vars(grid)) == before
 
 
 class TestSerialization:
