@@ -858,10 +858,6 @@ class GridPotential:
     def resolution(self) -> tuple[int, int]:
         return (self.grid.n_r, self.grid.n_t)
 
-    def to_csv(self, path):
-        rows = np.column_stack([self.grid.node_r, self.grid.node_t, self.values])
-        np.savetxt(path, rows, delimiter=",", header="r,theta,value", comments="")
-
 
 def _plate_min_depth(spec: CondenserSpec) -> float:
     depths = []

@@ -2,14 +2,21 @@
 
 Exit codes: 0 pass, 1 condition failed, 2 bad input, 3 numerical failure.
 Reports are JSON (sweep tables CSV) and echo the parameters the
-subcommand read.
+subcommand read.  This module is the file boundary: input files are read
+by sequences.read_json and output files written by _write, each mapping
+what goes wrong with a file to an InputError, so an unreadable,
+undecodable or unwritable file exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import functools
+import io
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -22,12 +29,20 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
+def _number(text: str) -> float:
+    """A float flag; NaN compares false to everything, so it is refused."""
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    return value
+
+
 # Flags by name.  Each subcommand takes only the flags it reads.
 _FLAGS = {
-    "gamma": dict(type=float, default=sequences.DEFAULT_GAMMA),
-    "eta": dict(type=float, default=sequences.DEFAULT_ETA),
-    "delta": dict(type=float, default=sequences.DEFAULT_DELTA),
-    "budget": dict(type=float, default=sequences.COMPARABILITY_BUDGET),
+    "gamma": dict(type=_number, default=sequences.DEFAULT_GAMMA),
+    "eta": dict(type=_number, default=sequences.DEFAULT_ETA),
+    "delta": dict(type=_number, default=sequences.DEFAULT_DELTA),
+    "budget": dict(type=_number, default=sequences.COMPARABILITY_BUDGET),
     "quad": dict(type=int, default=24, dest="quad_nodes"),
     "grid-r": dict(type=int, default=96),
     "grid-t": dict(type=int, default=256),
@@ -45,35 +60,44 @@ def _add_flags(p, names: str):
         p.add_argument(f"--{name}", **_FLAGS[name])
 
 
+def _write(path, text: str):
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _write_csv(path, header, rows):
+    """The table, header row first, in the csv module's default dialect (lines end in CRLF)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write(path, buf.getvalue())
+
+
 def _emit(report: dict, args):
     given = vars(args)
     config = {key: given[key] for key in _CONFIG_KEYS if key in given}
     report = {"version": __version__, "config": config, **report}
     text = json.dumps(report, indent=2, default=str)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write(args.out, text + "\n")
     print(text)
 
 
-def _load_json(path) -> dict:
+@contextlib.contextmanager
+def _parsing(what: str):
+    """Map whatever a malformed spec raises while it is parsed to an InputError."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: want a JSON object, got a {type(data).__name__}")
-    return data
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"malformed {what}: {exc}") from exc
 
 
 def _parse_arcs(data) -> list:
-    try:
-        return [geometry.arc_from_json(a) for a in data]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed arc list: {exc}") from exc
+    return [geometry.arc_from_json(a) for a in data]
 
 
 def cmd_check(args) -> int:
@@ -89,16 +113,16 @@ def cmd_check(args) -> int:
     elif args.condition == "cm":
         if args.arcs is None:
             raise InputError("check cm needs an arc-family file (--arcs)")
-        try:
-            families = [_parse_arcs(f) for f in _load_json(args.arcs)["families"]]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"{args.arcs}: want a list of arc lists under 'families': {exc}") from exc
+        spec = sequences.read_json(args.arcs)
+        with _parsing(f"arc families in {args.arcs} (want a list of arc lists under 'families')"):
+            families = [_parse_arcs(f) for f in spec["families"]]
         report = sequences.check_carleson(seq, families, args.quad_nodes, args.budget)
     else:  # theorem-d
         report = sequences.check_theorem_d(seq, args.gamma, args.budget)
-    _emit(report.to_json(), args)
     if args.csv:
-        report.to_csv(args.csv)
+        rows = ([rec["index"], rec["lhs"], rec["rhs"], rec["ratio"]] for rec in report.records)
+        _write_csv(args.csv, ["index", "lhs", "rhs", "ratio"], rows)
+    _emit(report.to_json(), args)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -123,7 +147,11 @@ def cmd_tree(args) -> int:
     if args.tree_cmd == "comb":
         rows = tree.comb_sweep(range(args.m_min, args.m_max + 1), with_exact=args.exact)
         if args.csv:
-            tree.sweep_to_csv(rows, args.csv)
+            _write_csv(
+                args.csv,
+                ["N", "c0", "c0_sqrtN", "closed_form", "exact_solver", "limit_gap"],
+                ([r.big_n, r.c0, r.c0_sqrt_n, r.closed_form, r.exact_solver, r.limit_gap] for r in rows),
+            )
         _emit({"sweep": [asdict(r) for r in rows], "limit": tree.COMB_LIMIT}, args)
         return EXIT_PASS
     if args.tree_cmd == "counterexample":
@@ -139,42 +167,38 @@ def cmd_tree(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    spec = _load_json(args.spec)
+    spec = sequences.read_json(args.spec)
+    with _parsing(f"{args.cap_cmd} spec {args.spec}"):
+        if args.cap_cmd == "grid":
+            inner, outer = spec["plate_inner"], spec.get("plate_outer", {})
+            disc = geometry.HyperbolicDisc(geometry.point_from_json(inner["center"]), float(inner["radius"]))
+            plates = _parse_arcs(outer.get("arcs", []))
+            plates += [
+                geometry.CarlesonBox(geometry.arc_from_json(b["base_arc"]), float(b["inner_radius"]))
+                for b in outer.get("boxes", [])
+            ]
+        else:
+            if args.cap_cmd == "condenser":
+                z = geometry.point_from_json(spec["z"])
+                points = [geometry.point_from_json(p) for p in spec.get("points", [])]
+            arcs = _parse_arcs(spec.get("arcs", []))
     if args.cap_cmd == "arcs":
-        arcs = _parse_arcs(spec.get("arcs", []))
         value = capacity.log_capacity(arcs, args.quad_nodes)
         _emit({"capacity": value, "arc_count": len(arcs)}, args)
         return EXIT_PASS
     if args.cap_cmd == "condenser":
-        try:
-            z = geometry.point_from_json(spec["z"])
-            targets = []
-            targets += [geometry.point_from_json(p) for p in spec.get("points", [])]
-            targets += _parse_arcs(spec.get("arcs", []))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed condenser spec: {exc}") from exc
-        result = capacity.condenser_capacity(z, targets, args.quad_nodes)
+        result = capacity.condenser_capacity(z, points + arcs, args.quad_nodes)
         _emit({"capacity": result.value, "warnings": list(result.warnings)}, args)
         return EXIT_PASS
     # grid
-    try:
-        inner = spec["plate_inner"]
-        disc = geometry.HyperbolicDisc(geometry.point_from_json(inner["center"]), float(inner["radius"]))
-        outer = _parse_arcs(spec.get("plate_outer", {}).get("arcs", []))
-        outer += [
-            geometry.CarlesonBox(geometry.arc_from_json(b["base_arc"]), float(b["inner_radius"]))
-            for b in spec.get("plate_outer", {}).get("boxes", [])
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed grid condenser spec: {exc}") from exc
-    pot = capacity.grid_condenser_capacity(
-        capacity.CondenserSpec(disc, outer), (args.grid_r, args.grid_t)
-    )
+    condenser = capacity.CondenserSpec(disc, plates)
+    pot = capacity.grid_condenser_capacity(condenser, (args.grid_r, args.grid_t))
     refined = capacity.grid_condenser_capacity(
-        capacity.CondenserSpec(disc, outer), (args.grid_r + args.grid_r // 2, args.grid_t + args.grid_t // 2)
+        condenser, (args.grid_r + args.grid_r // 2, args.grid_t + args.grid_t // 2)
     )
     if args.csv:
-        pot.to_csv(args.csv)
+        columns = (pot.grid.node_r.tolist(), pot.grid.node_t.tolist(), pot.values.tolist())
+        _write_csv(args.csv, ["r", "theta", "value"], zip(*columns))
     _emit(
         {
             "capacity": pot.energy,

@@ -11,7 +11,9 @@ formulas route through a cancellation-free evaluation of 1 - w*conj(z).
 PointSet holds points as arrays and is the one implementation of the
 pairwise formulas; mobius and hyperbolic_distance evaluate it at one
 pair.  Box containment has one elementwise test, boxes_contain, and arc
-unions are grouped over the pairs that one sweep finds.
+unions are grouped over the pairs that one sweep finds.  point_from_json
+and arc_from_json parse the input forms of points and arcs; of the point
+forms only {"theta", "depth"} is exact for deep points.
 """
 
 from __future__ import annotations
@@ -248,10 +250,6 @@ def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
-def point_to_json(p: DiscPoint) -> dict:
-    return {"r": p.r, "theta": p.theta}
-
-
 def point_from_json(d: dict) -> DiscPoint:
     if "re" in d and "im" in d:
         return DiscPoint.from_xy(float(d["re"]), float(d["im"]))
@@ -311,20 +309,11 @@ class Arc:
     def is_full_circle(self) -> bool:
         return self.length >= 1.0
 
-    def contains_angle(self, t: float) -> bool:
-        if self.is_full_circle():
-            return True
-        # absolute slack covers rounding of endpoint angles near magnitude 2*pi
-        return abs(_signed_angle(t - self.center_angle)) <= self.half_width * (1 + 1e-15) + 1e-14
-
     def intersects(self, other: "Arc") -> bool:
         if self.is_full_circle() or other.is_full_circle():
             return True
         gap = abs(_signed_angle(other.center_angle - self.center_angle))
         return gap <= self.half_width + other.half_width
-
-    def to_json(self) -> dict:
-        return {"center_angle": self.center_angle, "length": self.length}
 
 
 def arc_from_json(d: dict) -> Arc:
@@ -463,9 +452,6 @@ class CarlesonBox:
         # inner_radius 1.0 is allowed: boxes of very deep points round to it
         if not (0.0 <= self.inner_radius <= 1.0):
             raise DomainError(f"inner radius out of [0,1]: {self.inner_radius}")
-
-    def contains_point(self, p: DiscPoint) -> bool:
-        return p.r >= self.inner_radius and self.base_arc.contains_angle(p.theta)
 
     def intersects(self, other: "CarlesonBox") -> bool:
         # both boxes reach the circle, so arc overlap is enough

@@ -2,12 +2,14 @@
 
 Vicinities, the weak separation / capacitary / Carleson / restricted
 vicinity checkers, normalization, generators, and the grid assembly of
-W^{1,2} interpolants from condenser equilibrium blocks.
+W^{1,2} interpolants from condenser equilibrium blocks.  read_json is
+the one reader of input files: sequences here, arc families and
+condenser specs in the command line tool, which writes every output
+file.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import capacity, geometry
 from .errors import DomainError, InputError, NumericalError, ResolutionError
-from .geometry import Arc, CarlesonBox, DiscPoint
+from .geometry import DiscPoint
 
 DEFAULT_GAMMA = 0.75
 DEFAULT_ETA = 0.9
@@ -65,12 +67,6 @@ class Sequence:
         """The swept vicinity lists by gamma, filled by _vicinities."""
         return {}
 
-    def to_json(self) -> dict:
-        out = {"label": self.label, "points": [geometry.point_to_json(p) for p in self.points]}
-        if self.tail_bound is not None:
-            out["tail_bound"] = self.tail_bound
-        return out
-
 
 def sequence_from_json(d: dict) -> Sequence:
     try:
@@ -80,15 +76,22 @@ def sequence_from_json(d: dict) -> Sequence:
     return Sequence(pts, d.get("label", ""), d.get("tail_bound"))
 
 
-def load_sequence(path) -> Sequence:
+def read_json(path) -> dict:
+    """The JSON object in a UTF-8 file; InputError if the file cannot be
+    read, decoded or parsed, or holds anything but an object."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError and UnicodeDecodeError are both ValueErrors
+    except (OSError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return sequence_from_json(data)
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: want a JSON object, got a {type(data).__name__}")
+    return data
+
+
+def load_sequence(path) -> Sequence:
+    return sequence_from_json(read_json(path))
 
 
 @dataclass
@@ -117,13 +120,6 @@ class CheckReport:
             "params": self.params,
             "warnings": list(self.warnings),
         }
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "lhs", "rhs", "ratio"])
-            for rec in self.records:
-                writer.writerow([rec["index"], rec["lhs"], rec["rhs"], rec["ratio"]])
 
 
 def _finish(name, records, params, budget, warnings=()):
@@ -298,12 +294,19 @@ def check_carleson(
     """
     records = []
     warnings = []
+    pts = seq.pointset
     for fi, family in enumerate(test_families):
         arcs = geometry.merge_arcs(list(family))
-        boxes = [CarlesonBox(a, max(1.0 - a.length, 0.0)) for a in arcs]
-        mass = sum(
-            1.0 / d for p, d in zip(seq.points, seq.norms) if any(b.contains_point(p) for b in boxes)
+        center = np.array([a.center_angle for a in arcs], dtype=float)
+        length = np.array([a.length for a in arcs], dtype=float)
+        # points x boxes: the box over each merged arc has inner radius
+        # max(1 - length, 0); the angle slack covers rounded endpoint angles
+        gap = np.abs(geometry._signed_angles(pts.theta[:, None] - center))
+        inside = (1.0 - pts.depth[:, None] >= np.maximum(1.0 - length, 0.0)) & (
+            (length >= 1.0) | (gap <= math.pi * length * (1 + 1e-15) + 1e-14)
         )
+        # Python's sum in point order, as the scalar loop added the masses
+        mass = sum(1.0 / d for d, hit in zip(seq.norms, inside.any(axis=1).tolist()) if hit)
         cap_e = capacity.log_capacity(arcs, quad_nodes_per_arc)
         if mass == 0.0:
             ratio = 0.0

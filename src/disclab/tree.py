@@ -63,9 +63,6 @@ class TreeNode:
         center = 2.0 * math.pi * float(Fraction(2 * self.k - 1, 2 ** (self.n + 1)))
         return CarlesonBox(Arc(center, math.ldexp(1.0, -self.n)), 1.0 - math.ldexp(1.0, -self.n))
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "k": self.k}
-
 
 ROOT = TreeNode(0, 1)
 
@@ -418,15 +415,3 @@ def counterexample_scenario(
         "seed": seed,
     }
     return ScenarioReport(ws, mass_records, tree_records, teeth_cc, bool(ok), params)
-
-
-def sweep_to_csv(rows: list[SweepRow], path):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "c0", "c0_sqrtN", "closed_form", "exact_solver", "limit_gap"])
-        for row in rows:
-            writer.writerow(
-                [row.big_n, row.c0, row.c0_sqrt_n, row.closed_form, row.exact_solver, row.limit_gap]
-            )

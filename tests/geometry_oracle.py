@@ -2,8 +2,9 @@
 
 One pair at a time in Python complex arithmetic, with the C library's
 exp, log and hypot: the Dirichlet kernel and its metric, the Mobius map
-and hyperbolic distance that `PointSet` evaluates over arrays, and the
-box containment that `boxes_contain` tests elementwise.  None of them
+and hyperbolic distance that `PointSet` evaluates over arrays, the
+box containment that `boxes_contain` tests elementwise, and the point in
+box test that `check_carleson` makes over points x boxes.  None of them
 calls `PointSet`, `boxes_contain` or the arc sweep.
 """
 
@@ -92,3 +93,13 @@ def contains_box(outer: CarlesonBox, inner: CarlesonBox) -> bool:
         contains_arc(outer.base_arc, inner.base_arc)
         and outer.inner_radius <= inner.inner_radius * (1 + 1e-12)
     )
+
+
+def box_contains_point(box: CarlesonBox, p: DiscPoint) -> bool:
+    if p.r < box.inner_radius:
+        return False
+    arc = box.base_arc
+    if arc.is_full_circle():
+        return True
+    # absolute slack covers rounding of endpoint angles near magnitude 2*pi
+    return abs(_signed_angle(p.theta - arc.center_angle)) <= arc.half_width * (1 + 1e-15) + 1e-14

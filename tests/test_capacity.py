@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import example, given, strategies as st
 import equilibrium_oracle
 import plate_oracle
 from conftest import angles, arc_lengths, disc_points
-from disclab import _blas, capacity, geometry
+from disclab import _blas, capacity, cli, geometry
 from disclab.errors import DomainError, NumericalError, ResolutionError
 from disclab.geometry import ORIGIN, Arc, CarlesonBox, DiscPoint, HyperbolicDisc
 
@@ -273,13 +275,29 @@ class TestPolarGrid:
         assert pot.values.min() >= -1e-12
         assert pot.values.max() <= 1.0 + 1e-12
 
-    def test_csv_export(self, tmp_path):
-        grid = capacity.PolarGrid(8, 16, 0.1)
-        pot = capacity.GridPotential(grid, np.zeros(grid.n_nodes), 0.0)
+    def test_csv_export(self, tmp_path, capsys):
+        # the CLI's --csv table of the potential holds every node's r, theta and value exactly
+        z = DiscPoint(1.0, 0.2)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "plate_inner": {"center": {"theta": z.theta, "depth": z.depth}, "radius": 1.0},
+                    "plate_outer": {"arcs": [{"center_angle": 3.0, "length": 0.25}]},
+                }
+            )
+        )
         path = tmp_path / "field.csv"
-        pot.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "r,theta,value"
+        argv = ["capacity", "grid", str(spec_path), "--grid-r", "16", "--grid-t", "32", "--csv", str(path)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        spec = capacity.CondenserSpec(geometry.unit_hyperbolic_disc(z), [Arc(3.0, 0.25)])
+        pot = capacity.grid_condenser_capacity(spec, (16, 32))
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["r", "theta", "value"]
+        expected = np.column_stack([pot.grid.node_r, pot.grid.node_t, pot.values])
+        assert np.array_equal(np.array(rows, dtype=float), expected)
 
     def test_fast_route_calibrated_to_grid(self):
         for k in (5, 7):

@@ -5,12 +5,10 @@ import pytest
 
 from disclab import cli, sequences
 from disclab.geometry import DiscPoint
-from disclab.sequences import Sequence
 
 
 def write_sequence(path, points):
-    seq = Sequence(tuple(points))
-    path.write_text(json.dumps(seq.to_json()))
+    path.write_text(json.dumps({"points": [{"theta": p.theta, "depth": p.depth} for p in points]}))
     return path
 
 
@@ -146,6 +144,18 @@ class TestFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "ws", "seq.json", "--delta", "nan"], ["check", "cc", "seq.json", "--budget", "nan"]],
+        ids=["ws-delta", "cc-budget"],
+    )
+    def test_nan_rejected(self, argv, capsys):
+        # NaN compares false, so a check against it would fail (exit 1) instead of refusing the input
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "not a number" in capsys.readouterr().err
+
     def test_benchmark_invocations_parse(self):
         parser = cli.build_parser()
         for condition in ("ws", "cc", "theorem-d", "mass"):
@@ -255,11 +265,14 @@ class TestCapacity:
         assert "input error" in err
 
 
-# files written for the malformed-input cases, by name
+# files written for the malformed-input cases, by name: bytes as they are, anything else as JSON
 MALFORMED = {
     "bad_point": {"points": [{"r": "x", "theta": 0}]},
     "no_families": {"arcs": []},
     "arc_list": [{"center_angle": 0.0, "length": 1.0}],
+    "utf16": b"\xff\xfe{}",
+    "outer_list": {"plate_inner": {"center": {"theta": 0.0, "depth": 0.5}, "radius": 1.0}, "plate_outer": []},
+    "annulus": ANNULUS_SPEC,
 }
 
 
@@ -271,18 +284,76 @@ MALFORMED = {
         ["check", "cm", "{seq}"],
         ["check", "cm", "{seq}", "--arcs", "{no_families}"],
         ["capacity", "arcs", "{arc_list}"],
+        ["check", "ws", "{utf16}"],
+        ["capacity", "arcs", "{utf16}"],
+        ["check", "cm", "{seq}", "--arcs", "{utf16}"],
+        ["capacity", "grid", "{outer_list}"],
+        ["check", "ws", "{seq}", "--out", "{dir}/missing/x.json"],
+        ["check", "cc", "{seq}", "--csv", "{dir}"],
+        ["tree", "comb", "--csv", "{dir}/missing/a.csv"],
+        ["capacity", "grid", "{annulus}", "--grid-r", "32", "--grid-t", "64", "--csv", "{dir}/missing/a.csv"],
     ],
-    ids=["missing-sequence", "non-numeric-point", "cm-without-arcs", "arcs-without-families", "spec-not-an-object"],
+    ids=[
+        "missing-sequence",
+        "non-numeric-point",
+        "cm-without-arcs",
+        "arcs-without-families",
+        "spec-not-an-object",
+        "sequence-not-utf8",
+        "spec-not-utf8",
+        "families-not-utf8",
+        "plate-outer-a-list",
+        "out-in-missing-dir",
+        "csv-is-a-dir",
+        "comb-csv-in-missing-dir",
+        "grid-csv-in-missing-dir",
+    ],
 )
 def test_malformed_input_exits_2(argv, good_sequence, tmp_path, capsys):
     paths = {"dir": str(tmp_path), "seq": str(good_sequence)}
     for name, blob in MALFORMED.items():
-        paths[name] = str(tmp_path / f"{name}.json")
-        (tmp_path / f"{name}.json").write_text(json.dumps(blob))
-    code, _, err = run([a.format(**paths) for a in argv], capsys)
+        path = tmp_path / f"{name}.json"
+        paths[name] = str(path)
+        if isinstance(blob, bytes):
+            path.write_bytes(blob)
+        else:
+            path.write_text(json.dumps(blob))
+    code, out, err = run([a.format(**paths) for a in argv], capsys)
     assert code == 2
     assert "input error" in err
     assert "Traceback" not in err
+    # every file is written before the report is printed, so a failed run prints none
+    assert out == ""
+
+
+def test_files_touched_only_at_the_boundary():
+    """No library module but cli.py opens or writes a file: open, savetxt and
+    csv appear nowhere else except in sequences.read_json."""
+    import ast
+    from pathlib import Path
+
+    banned = {"open", "savetxt", "csv"}
+    found = []
+    for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        reader = [f for f in module.body if path.name == "sequences.py" and getattr(f, "name", "") == "read_json"]
+        allowed = {id(n) for f in reader for n in ast.walk(f)}
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.alias):
+                names = set(node.name.split("."))
+            elif isinstance(node, ast.ImportFrom):
+                names = set((node.module or "").split("."))
+            else:
+                continue
+            if names & banned and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno}: {sorted(names & banned)}")
+    assert found == []
 
 
 def test_console_script_entry_matches_main():

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import warnings
@@ -6,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import geometry_oracle
 import sequence_oracle
-from conftest import disc_points
-from disclab import capacity, geometry, sequences
+from conftest import angles, arc_lengths, disc_points
+from disclab import capacity, cli, geometry, sequences
 from disclab.errors import DisclabError, DomainError, InputError
-from disclab.geometry import Arc, DiscPoint
+from disclab.geometry import Arc, CarlesonBox, DiscPoint
 from disclab.sequences import Sequence
 
 
@@ -133,6 +135,26 @@ class TestCapacitaryCondition:
         assert report.warnings
 
 
+@st.composite
+def carleson_cases(draw):
+    """Arc families, with points anywhere and on, inside and outside the edges of the boxes
+    over their merged arcs, to the ulp."""
+    families = draw(
+        st.lists(
+            st.lists(st.builds(Arc, angles(), st.one_of(arc_lengths(1e-9, 0.5), st.just(1.0))), max_size=4),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    points = draw(st.lists(disc_points(min_depth=1e-300), max_size=8))
+    ulps = st.integers(-2, 2)
+    for arc in [a for family in families for a in geometry.merge_arcs(family)]:
+        edge = arc.center_angle + draw(st.sampled_from([-1.0, 1.0])) * (arc.half_width * (1 + 1e-15) + 1e-14)
+        depth = arc.length + draw(ulps) * math.ulp(arc.length)
+        points.append(DiscPoint(edge + draw(ulps) * math.ulp(edge), min(depth, 1.0)))
+    return points, families
+
+
 class TestCarleson:
     def test_family_without_points(self, boxes12):
         report = sequences.check_carleson(boxes12, [[Arc(0.0, 1e-5)]])
@@ -145,6 +167,29 @@ class TestCarleson:
         assert report.records[0]["ratio"] == pytest.approx(
             mass / report.records[0]["rhs"]
         )
+
+    @given(carleson_cases())
+    # on the angle bound exactly, and inside it only by the absolute slack
+    @example(
+        ([DiscPoint(math.pi / 4 * (1 + 1e-15) + 1e-14, 0.1), DiscPoint(math.pi / 4 + 5e-15, 0.1)], [[Arc(0.0, 0.25)]])
+    )
+    # deep points and the origin against the full circle, an empty family and a tiny arc
+    @example(
+        ([DiscPoint(3.0, 1e-20), geometry.ORIGIN, DiscPoint(2.0, 0.5)], [[Arc(0.0, 1.0)], [], [Arc(3.0, 1e-9)]])
+    )
+    def test_masses_match_scalar_oracle(self, case):
+        points, families = case
+        # the scalar loop over points and the boxes over the merged arcs, bit for bit
+        seq = Sequence(tuple(points))
+        report = sequences.check_carleson(seq, families)
+        for rec, family in zip(report.records, families):
+            boxes = [CarlesonBox(a, max(1.0 - a.length, 0.0)) for a in geometry.merge_arcs(family)]
+            mass = sum(
+                1.0 / d
+                for p, d in zip(seq.points, seq.norms)
+                if any(geometry_oracle.box_contains_point(b, p) for b in boxes)
+            )
+            assert repr(rec["lhs"]) == repr(mass)
 
     def test_dyadic_sweep_finite(self):
         seq = Sequence(tuple(DiscPoint(0.0, 2.0**-n) for n in range(2, 10)))
@@ -387,23 +432,34 @@ class TestInterpolant:
         assert set(vars(grid)) == before
 
 
+def write_sequence(path, seq):
+    path.write_text(json.dumps({"points": [{"theta": p.theta, "depth": p.depth} for p in seq.points]}))
+    return path
+
+
 class TestSerialization:
-    def test_sequence_json_roundtrip(self, boxes12):
-        back = sequences.sequence_from_json(boxes12.to_json())
-        assert len(back) == len(boxes12)
-        for p, q in zip(back.points, boxes12.points):
-            assert abs(p.z - q.z) < 1e-12
+    def test_sequence_json_roundtrip(self, boxes12, tmp_path):
+        # the depth form is exact
+        back = sequences.load_sequence(write_sequence(tmp_path / "seq.json", boxes12))
+        assert back.points == boxes12.points
 
     def test_load_rejects_malformed(self, tmp_path):
         path = tmp_path / "seq.json"
-        path.write_text("{not json")
-        with pytest.raises(InputError):
-            sequences.load_sequence(path)
+        for blob in (b"{not json", b"\xff\xfe{}", b"[]", b'{"points": 3}'):
+            path.write_bytes(blob)
+            with pytest.raises(InputError):
+                sequences.load_sequence(path)
 
-    def test_report_json_and_csv(self, boxes12, tmp_path):
+    def test_report_json_and_csv(self, boxes12, tmp_path, capsys):
         report = sequences.check_weak_separation(boxes12)
         blob = json.dumps(report.to_json())
         assert "sup_ratio" in blob
+        # the command line writes the same records as a table
         csv_path = tmp_path / "report.csv"
-        report.to_csv(csv_path)
-        assert csv_path.read_text().startswith("index,lhs,rhs,ratio")
+        seq_path = write_sequence(tmp_path / "seq.json", boxes12)
+        assert cli.main(["check", "ws", str(seq_path), "--csv", str(csv_path)]) == 0
+        capsys.readouterr()
+        with open(csv_path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["index", "lhs", "rhs", "ratio"]
+        assert rows == [[repr(rec[key]) for key in header] for rec in report.records]

@@ -1,3 +1,4 @@
+import csv
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 import scipy.sparse.linalg
 from hypothesis import example, given, strategies as st
 
-from disclab import geometry, sequences, tree
+from disclab import cli, geometry, sequences, tree
 from disclab.errors import DomainError, InputError, NumericalError
 from disclab.tree import ROOT, CombSpec, TreeCondenser, TreeNode
 import geometry_oracle
@@ -109,7 +110,7 @@ class TestStructure:
             alpha = random_node(rng, 30)
             if alpha.n == 0:
                 continue
-            assert alpha.box().contains_point(alpha.embed())
+            assert geometry_oracle.box_contains_point(alpha.box(), alpha.embed())
 
     def test_lca(self):
         a = TreeNode(6, 5)
@@ -316,10 +317,15 @@ class TestScenario:
         report = tree.counterexample_scenario(m_list=(4, 5))
         json.dumps(report.to_json())
 
-    def test_sweep_csv(self, tmp_path):
-        rows = tree.comb_sweep([2, 3, 4])
+    def test_sweep_csv(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"
-        tree.sweep_to_csv(rows, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("N,c0")
-        assert len(lines) == 4
+        assert cli.main(["tree", "comb", "--m-min", "2", "--m-max", "4", "--exact", "--csv", str(path)]) == 0
+        capsys.readouterr()
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["N", "c0", "c0_sqrtN", "closed_form", "exact_solver", "limit_gap"]
+        expected = [
+            [r.big_n, r.c0, r.c0_sqrt_n, r.closed_form, r.exact_solver, r.limit_gap]
+            for r in tree.comb_sweep([2, 3, 4], with_exact=True)
+        ]
+        assert rows == [[repr(v) for v in row] for row in expected]
