@@ -43,7 +43,6 @@ from .sequences import (
     check_theorem_d,
     check_weak_separation,
     generate,
-    normalize,
     restricted_vicinity,
     vicinity,
 )

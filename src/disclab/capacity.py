@@ -267,77 +267,37 @@ def log_capacity(arcs: list[Arc], quad_nodes_per_arc: int = 24) -> float:
     return CAP_SCALE / max(mu.energy + CAP_SHIFT, CAP_DEN_FLOOR)
 
 
-def _disc_meets_box(c: complex, rho: float, box: CarlesonBox) -> bool:
-    """Whether the closed Euclidean disc (c, rho) meets the box.
-
-    The box is the annular sector r >= r0 over its base arc.  The disc
-    reaches radius r0 or more along the rays within alpha of arg c, so the
-    two meet iff the base arc meets that arc of rays.  alpha is the
-    tangent angle asin(rho/|c|) when the tangent points lie at radius
-    r0 or more, and else the angle at which the circle |w| = r0 crosses
-    the disc's rim (law of cosines).
-    """
-    r0, a = box.inner_radius, abs(c)
-    if a + rho < r0:
-        return False
-    if r0 <= rho - a:  # the disc covers the circle |w| = r0
-        return True
-    if a * a - rho * rho >= r0 * r0:
-        alpha = math.asin(rho / a)
-    else:
-        alpha = math.acos(max(-1.0, min(1.0, (r0 * r0 + a * a - rho * rho) / (2.0 * r0 * a))))
-    arc = box.base_arc
-    gap = abs(geometry._signed_angle(cmath.phase(c) - arc.center_angle))
-    return arc.is_full_circle() or gap <= arc.half_width + alpha
-
-
-def _representative(target) -> DiscPoint | None:
-    """The point whose Mobius image stands for a target; None for an arc."""
-    if isinstance(target, DiscPoint):
-        return target
-    if isinstance(target, HyperbolicDisc):
-        return target.center
-    if isinstance(target, CarlesonBox):
-        return DiscPoint(target.base_arc.center_angle, target.base_arc.length)
-    if isinstance(target, Arc):
-        return None
-    raise DomainError(f"unsupported target type: {type(target).__name__}")
-
-
 def condenser_capacity(z: DiscPoint, targets: list, quad_nodes_per_arc: int = 24) -> CondenserResult:
-    """cap_D(Delta_1(z), targets) via Mobius transfer to arcs at the origin.
+    """cap_D(Delta_1(z), targets) for points and arcs via Mobius transfer to arcs at the origin.
 
-    Boxes and discs are reduced to the arcs of representative points; the
-    reduction is a comparability, so a violated depth precondition is
-    reported as a warning, not an error.  Plates that touch Delta_1(z)
-    give capacity 0 by convention.  The representative points' images
-    and distances from z come from one PointSet call each.
+    A point stands for the arc of its image; the reduction is a
+    comparability, so a violated depth precondition is reported as a
+    warning, not an error.  A point within hyperbolic distance 2 of z,
+    whose unit disc touches Delta_1(z), gives capacity 0 by convention.
+    The points' images and distances from z come from one PointSet call
+    each.  Any other target raises a DomainError; boxes and discs are
+    plates of the grid route (grid_condenser_capacity).
     """
     if not targets:
         raise DomainError("empty target list")
-    reps = [_representative(t) for t in targets]
+    for t in targets:
+        if not isinstance(t, (DiscPoint, Arc)):
+            raise DomainError(f"unsupported target type: {type(t).__name__}")
     at_z = geometry.PointSet.from_points([z])
-    points = geometry.PointSet.from_points([w for w in reps if w is not None])
+    points = geometry.PointSet.from_points([t for t in targets if isinstance(t, DiscPoint)])
     images = iter(at_z.mobius(points).points())
     distances = iter(at_z.hyperbolic_distance(points).tolist())
-    inner = geometry.unit_hyperbolic_disc(z).euclidean()
     arcs = []
     warnings = []
-    for t, w in zip(targets, reps):
-        if w is None:
+    for t in targets:
+        if isinstance(t, Arc):
             arcs.append(geometry.arc_mobius_image(z, t))
             continue
         image, distance = next(images), next(distances)
-        if isinstance(t, CarlesonBox):
-            touch = _disc_meets_box(*inner, t)
-        else:
-            touch = distance <= (1.0 + t.radius if isinstance(t, HyperbolicDisc) else 2.0)
-        if touch:
+        if distance <= 2.0:
             return CondenserResult(0.0, ("plates intersect; capacity 0 by convention",))
-        if w.depth > z.depth / 2.0:
+        if t.depth > z.depth / 2.0:
             warnings.append("target depth exceeds half the base depth; comparability not guaranteed")
-        # the arc of the image point; when w == z, as for a full-circle box
-        # around the origin, the image is the origin and its arc the whole circle
         arcs.append(Arc(image.theta, image.depth))
     value = log_capacity(arcs, quad_nodes_per_arc)
     return CondenserResult(value, tuple(dict.fromkeys(warnings)))
@@ -709,17 +669,23 @@ class PolarGrid:
         joins two zeros, so the form sums only the same rows, which also
         give each free node's residual: the energies on the diagonal, and
         off it -g u_h u_t of each cut edge between two parts.
+
+        The centre node must be fixed: a DomainError is raised if it is
+        free.  An interpolant's support holds the centre only when its
+        point is within rounding of the origin, and then so does the
+        point's core disc.
         """
         live = ~mask0
+        free = live & ~mask1
+        if free[0]:
+            raise DomainError("the centre node is free; a parts solve needs it in mask0 or mask1")
         heads, tails, g = self._stencil(np.flatnonzero(live))
         joined = live[tails] & (parts[heads] == parts[tails])
-        free = live & ~mask1
         if free.any():
             u[free] = self._banded_solve(free, mask1, parts, heads, tails, g, joined)
         d = u[heads] - np.where(joined, u[tails], 0.0)
         residual = np.bincount(heads, weights=g * d, minlength=self.n_nodes)[free]
-        scale = np.bincount(heads, weights=g, minlength=self.n_nodes)[free]
-        _check_residual(residual / scale)
+        _check_residual(residual / self._g_sum[(np.flatnonzero(free) - 1) // self.n_t])
         n = parts.max() + 1
         # an edge joining two live nodes of one part sits in both their rows: count it once
         once = ~joined | (heads < tails)
@@ -741,19 +707,15 @@ class PolarGrid:
         which is then the band's width.  A part that closes the circle
         has no gap: its columns go folded, 0, n_t - 1, 1, n_t - 2, ...,
         so that neighbours stay at most two columns apart, and its ring
-        side counts twice.  The centre node joins its part to all of ring
-        0, so that part goes ring by ring, the centre first (its ring
-        offset is -1).
+        side counts twice.  The nodes are ring nodes: a parts solve
+        holds the centre fixed.
         """
         n_t = self.n_t
         n_parts = labels.max() + 1
         k, j = np.divmod(nodes - 1, n_t)
-        centre = int(nodes[0] == 0)
-        # the ring nodes' labels, rings and columns
-        rl, rk, rj = labels[centre:], k[centre:], j[centre:]
         # each part's columns in order, with the gap before each, cyclically
         used = np.zeros((n_parts, n_t), dtype=bool)
-        used[rl, rj] = True
+        used[labels, j] = True
         cl, cj = np.nonzero(used)
         first = np.flatnonzero(np.diff(cl, prepend=-1))
         last = np.flatnonzero(np.diff(cl, append=n_parts))
@@ -765,23 +727,21 @@ class PolarGrid:
         width = np.zeros(n_parts, dtype=k.dtype)
         width[cl[first]] = n_t + 1 - gap[widest]
         inner_ring = np.full(n_parts, self.n_rings, dtype=k.dtype)
-        np.minimum.at(inner_ring, rl, rk)
+        np.minimum.at(inner_ring, labels, k)
         height = np.zeros(n_parts, dtype=k.dtype)
-        np.maximum.at(height, rl, rk + 1)
+        np.maximum.at(height, labels, k + 1)
         height -= inner_ring
         closed = width == n_t
         ring_major = width <= np.where(closed, 2 * height, height)
-        if centre:
-            ring_major[labels[0]] = True
-        ring_off = np.maximum(k - inner_ring[labels], -1)
+        ring_off = k - inner_ring[labels]
         col_off = (j - start[labels]) % n_t
         col_off = np.where(closed[labels], np.minimum(2 * col_off, 2 * (n_t - col_off) - 1), col_off)
         by_ring = ring_major[labels]
         outer = np.where(by_ring, ring_off, col_off)
         inner = np.where(by_ring, col_off, ring_off)
-        # one sort key: both offsets are below span, outer + 1 too
-        span = max(n_t, self.n_rings) + 1
-        return np.argsort((labels * span + outer + 1) * span + inner)
+        # one sort key: both offsets are below span
+        span = max(n_t, self.n_rings)
+        return np.argsort((labels * span + outer) * span + inner)
 
     def _banded_solve(
         self,

@@ -65,7 +65,7 @@ def _write(path, text: str):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _write_csv(path, header, rows):
@@ -101,6 +101,8 @@ def _parse_arcs(data) -> list:
 
 
 def cmd_check(args) -> int:
+    if args.condition == "mass" and args.csv:
+        raise InputError("check mass has no per-point table to write (--csv)")
     seq = sequences.load_sequence(args.sequence)
     if args.condition == "mass":
         total = sequences.check_finite_measure(seq)

@@ -1,8 +1,8 @@
 """Sequence-level machinery for interpolation diagnostics.
 
 Vicinities, the weak separation / capacitary / Carleson / restricted
-vicinity checkers, normalization, generators, and the grid assembly of
-W^{1,2} interpolants from condenser equilibrium blocks.  read_json is
+vicinity checkers, generators, and the grid assembly of W^{1,2}
+interpolants from condenser equilibrium blocks.  read_json is
 the one reader of input files: sequences here, arc families and
 condenser specs in the command line tool, which writes every output
 file.
@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +23,8 @@ from .geometry import DiscPoint
 
 DEFAULT_GAMMA = 0.75
 DEFAULT_ETA = 0.9
-DEFAULT_BETA = 0.5
 DEFAULT_DELTA = 0.1
 COMPARABILITY_BUDGET = 64.0
-NORMALIZED_NORM_FLOOR = 100.0
 
 # rows per numpy block of the pairwise checks; memory stays O(n * block)
 _PAIR_BLOCK = 64
@@ -35,15 +32,10 @@ _PAIR_BLOCK = 64
 
 @dataclass(frozen=True)
 class Sequence:
-    """Finite (truncated) point sequence with cached kernel norms.
-
-    tail_bound, when set by a generator, bounds the depth sum of the
-    dropped infinite tail.
-    """
+    """Finite (truncated) point sequence with cached kernel norms."""
 
     points: tuple
     label: str = ""
-    tail_bound: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -73,7 +65,7 @@ def sequence_from_json(d: dict) -> Sequence:
         pts = tuple(geometry.point_from_json(p) for p in d["points"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed sequence JSON: {exc}") from exc
-    return Sequence(pts, d.get("label", ""), d.get("tail_bound"))
+    return Sequence(pts, d.get("label", ""))
 
 
 def read_json(path) -> dict:
@@ -84,7 +76,7 @@ def read_json(path) -> dict:
             data = json.load(fh)
     # JSONDecodeError and UnicodeDecodeError are both ValueErrors
     except (OSError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise InputError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: want a JSON object, got a {type(data).__name__}")
     return data
@@ -306,7 +298,7 @@ def check_carleson(
             (length >= 1.0) | (gap <= math.pi * length * (1 + 1e-15) + 1e-14)
         )
         # Python's sum in point order, as the scalar loop added the masses
-        mass = sum(1.0 / d for d, hit in zip(seq.norms, inside.any(axis=1).tolist()) if hit)
+        mass = sum((1.0 / d for d, hit in zip(seq.norms, inside.any(axis=1).tolist()) if hit), 0.0)
         cap_e = capacity.log_capacity(arcs, quad_nodes_per_arc)
         if mass == 0.0:
             ratio = 0.0
@@ -322,7 +314,7 @@ def check_carleson(
 
 def check_finite_measure(seq: Sequence) -> float:
     """Total mass of the associated measure, sum of 1/d(z_i)."""
-    return sum(1.0 / d for d in seq.norms)
+    return sum((1.0 / d for d in seq.norms), 0.0)
 
 
 def check_theorem_d(
@@ -339,33 +331,6 @@ def check_theorem_d(
         records.append({"index": i, "lhs": total, "rhs": 1.0 / d_i, "ratio": total * d_i})
     params = {"gamma": gamma, "K": budget}
     return _finish("restricted_vicinity_sum", records, params, budget)
-
-
-def normalize(seq: Sequence, eta: float = DEFAULT_ETA, beta: float = DEFAULT_BETA) -> Sequence:
-    """Drop the minimal prefix making the remainder deep and graded.
-
-    After normalization every point has d(z_i) > 100 and vicinity
-    members are at least twice as deep, within the beta power window.
-    Idempotent.
-    """
-    if not (0.0 < beta < eta < 1.0):
-        raise DomainError(f"need 0 < beta < eta < 1, got beta={beta}, eta={eta}")
-    n = len(seq)
-    # the vicinity of a point within a suffix is its full vicinity
-    # restricted to the suffix, so one list serves every prefix
-    lists = _vicinities(seq, eta)
-    owner = np.repeat(np.arange(n), np.diff(lists.start))
-    member = lists.members
-    depth = seq.pointset.depth
-    graded = np.array([d**beta for d in depth.tolist()])
-    bad = (graded[member] > depth[owner]) | (depth[member] > depth[owner] / 2.0)
-    shallow = np.flatnonzero(np.asarray(seq.norms) <= NORMALIZED_NORM_FLOOR)
-    # a suffix passes iff it holds no shallow point and no ungraded pair
-    keep_from = 1 + max(shallow.max(initial=-1), np.minimum(owner, member)[bad].max(initial=-1))
-    if keep_from < n:
-        return Sequence(seq.points[keep_from:], seq.label, seq.tail_bound)
-    _warnings.warn(f"normalization dropped every point of {seq.label or 'sequence'}")
-    return Sequence((), seq.label, seq.tail_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +355,7 @@ def _generate_radial(params: dict) -> Sequence:
     if not 0.0 < lam < 1.0 or count < 1:
         raise InputError(f"radial generator needs 0 < lam < 1 and count >= 1, got {params}")
     pts = tuple(DiscPoint(theta, lam**n) for n in range(1, count + 1))
-    tail = lam ** (count + 1) / (1.0 - lam)  # geometric depth tail of the dropped points
-    return Sequence(pts, f"radial(lam={lam}, n={count})", tail)
+    return Sequence(pts, f"radial(lam={lam}, n={count})")
 
 
 def _generate_disjoint_boxes(params: dict, seed: int) -> Sequence:

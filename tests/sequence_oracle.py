@@ -2,9 +2,8 @@
 
 These are the scalar loops the array layer replaced: every pair goes
 through the scalar formulas of geometry_oracle, vicinities are rebuilt
-per point, arcs are merged by an all-pairs union-find, and normalize
-rebuilds the sequence for each candidate prefix.  They share no sweep,
-block or cached list with the library.
+per point and arcs are merged by an all-pairs union-find.  They share
+no sweep, block or cached list with the library.
 """
 
 import math
@@ -132,25 +131,3 @@ def merge_arcs(arcs: list[Arc]) -> list[Arc]:
     if len(merged) == 1 and merged[0].length >= 1.0 - 1e-12:
         return [Arc(0.0, 1.0)]
     return merged
-
-
-def _normalized_ok(points, eta, beta):
-    sub = Sequence(points)
-    if any(d <= sequences.NORMALIZED_NORM_FLOOR for d in sub.norms):
-        return False
-    for i, zi in enumerate(points):
-        for j in vicinity(sub, i, eta):
-            dj = points[j].depth
-            if dj**beta > zi.depth or dj > zi.depth / 2.0:
-                return False
-    return True
-
-
-def normalize(seq: Sequence, eta: float, beta: float) -> Sequence:
-    """The normalized sequence, or an empty one where every point drops."""
-    pts = list(seq.points)
-    for p in range(len(pts)):
-        tail = pts[p:]
-        if _normalized_ok(tail, eta, beta):
-            return Sequence(tuple(tail), seq.label, seq.tail_bound)
-    return Sequence((), seq.label, seq.tail_bound)

@@ -62,6 +62,19 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["total_mass"] > 0
 
+    def test_masses_are_floats(self, good_sequence, tmp_path, capsys):
+        # an empty family and a family over none of the points hold no mass
+        arcs = tmp_path / "arcs.json"
+        arcs.write_text(json.dumps({"families": [[], [{"center_angle": 3.0, "length": 1e-3}]]}))
+        code, out, _ = run(["check", "cm", str(good_sequence), "--arcs", str(arcs)], capsys)
+        assert code == 0
+        assert [rec["lhs"] for rec in json.loads(out)["records"]] == [0.0, 0.0]
+        assert out.count('"lhs": 0.0,') == 2
+        # and a sequence with no point none at all
+        code, out, _ = run(["check", "mass", str(write_sequence(tmp_path / "empty.json", []))], capsys)
+        assert code == 0
+        assert '"total_mass": 0.0,' in out
+
     def test_cc_with_csv(self, good_sequence, tmp_path, capsys):
         csv_path = tmp_path / "cc.csv"
         code, out, _ = run(
@@ -265,6 +278,9 @@ class TestCapacity:
         assert "input error" in err
 
 
+# the malformed-input cases whose message names no file
+NAMES_NO_FILE = {"non-numeric-point", "cm-without-arcs", "mass-with-csv"}
+
 # files written for the malformed-input cases, by name: bytes as they are, anything else as JSON
 MALFORMED = {
     "bad_point": {"points": [{"r": "x", "theta": 0}]},
@@ -292,6 +308,7 @@ MALFORMED = {
         ["check", "cc", "{seq}", "--csv", "{dir}"],
         ["tree", "comb", "--csv", "{dir}/missing/a.csv"],
         ["capacity", "grid", "{annulus}", "--grid-r", "32", "--grid-t", "64", "--csv", "{dir}/missing/a.csv"],
+        ["check", "mass", "{seq}", "--csv", "{dir}/mass.csv"],
     ],
     ids=[
         "missing-sequence",
@@ -307,9 +324,10 @@ MALFORMED = {
         "csv-is-a-dir",
         "comb-csv-in-missing-dir",
         "grid-csv-in-missing-dir",
+        "mass-with-csv",
     ],
 )
-def test_malformed_input_exits_2(argv, good_sequence, tmp_path, capsys):
+def test_malformed_input_exits_2(argv, good_sequence, tmp_path, capsys, request):
     paths = {"dir": str(tmp_path), "seq": str(good_sequence)}
     for name, blob in MALFORMED.items():
         path = tmp_path / f"{name}.json"
@@ -322,6 +340,10 @@ def test_malformed_input_exits_2(argv, good_sequence, tmp_path, capsys):
     assert code == 2
     assert "input error" in err
     assert "Traceback" not in err
+    # the file at fault, the last one named on the command line, is named once
+    named = [a.format(**paths) for a in argv if "{" in a]
+    assert err.count(named[-1]) == (request.node.callspec.id not in NAMES_NO_FILE)
+    assert all(err.count(path) <= 1 for path in named)
     # every file is written before the report is printed, so a failed run prints none
     assert out == ""
 

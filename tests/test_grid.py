@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 import grid_oracle
 from conftest import angles, disc_points
 from disclab import capacity, geometry, sequences
-from disclab.errors import NumericalError, ResolutionError
+from disclab.errors import DomainError, NumericalError, ResolutionError
 from disclab.geometry import ORIGIN, Arc, CarlesonBox, DiscPoint, HyperbolicDisc
 
 REL = 1e-12
@@ -424,7 +424,8 @@ def labelled_windows(draw):
     wrap across angle 0, be wider than tall or close the circle; a later
     window keeps only the nodes no earlier one took.  Each core is a
     window inside its part's, so the rows through it are split in two.
-    The first part may start at ring 0 and hold the centre node.
+    The first part may start at ring 0 and hold the centre node, which
+    is then in its core: a parts solve holds the centre fixed.
     """
     grid = draw(small_grids())
     n_t, n_rings = grid.n_t, grid.n_rings
@@ -440,6 +441,7 @@ def labelled_windows(draw):
         parts[window] = label
         if centre and label == 0:
             parts[0] = 0
+            cores[0] = True
         h0 = draw(st.integers(k0, k1 - 1))
         h1 = draw(st.integers(h0 + 1, k1))
         d0 = draw(st.integers(0, width - 1))
@@ -488,18 +490,25 @@ class TestBandedSolve:
             ([(2, 20, 62, 5)], 5),  # taller than wide across angle 0
             ([(4, 8, 0, 64)], 8),  # closes the circle: folded columns, two apart
             ([(0, 40, 0, 64)], 64),  # closes the circle, taller than half its width: ring by ring
-            ([(0, 4, 0, 10, "centre")], 10),  # the centre's part goes ring by ring
+            ([(0, 24, 0, 10)], 10),  # from ring 0, beside the centre in mask0: ring by ring
             ([(4, 16, 0, 5), (4, 10, 30, 20)], 6),  # the band is the wider of the parts' bands
         ],
     )
     def test_bandwidth_is_the_shorter_side(self, monkeypatch, windows, band):
         grid = capacity.PolarGrid(40, 64, 0.05)
         parts = np.full(grid.n_nodes, -1)
-        for label, (k0, k1, c0, width, *centre) in enumerate(windows):
+        for label, (k0, k1, c0, width) in enumerate(windows):
             parts[grid._nodes(k0, k1, (c0 + np.arange(width)) % grid.n_t)] = label
-            if centre:
-                parts[0] = label
         assert _recorded_bandwidth(monkeypatch, grid, parts < 0, np.zeros(grid.n_nodes, dtype=bool), parts) == band
+
+    def test_free_centre_rejected(self):
+        grid = capacity.PolarGrid(8, 16, 0.5)
+        parts = np.full(grid.n_nodes, -1)
+        parts[: 1 + 2 * grid.n_t] = 0  # the centre and rings 0 and 1
+        cores = np.zeros(grid.n_nodes, dtype=bool)
+        cores[grid._nodes(1, 2, np.arange(grid.n_t))] = True
+        with pytest.raises(DomainError, match="centre"):
+            grid.solve(parts < 0, cores, parts)
 
     def _blocks_system(self):
         """The parts solve of test_parts_cut_shared_edges."""

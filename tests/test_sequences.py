@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -184,11 +183,8 @@ class TestCarleson:
         report = sequences.check_carleson(seq, families)
         for rec, family in zip(report.records, families):
             boxes = [CarlesonBox(a, max(1.0 - a.length, 0.0)) for a in geometry.merge_arcs(family)]
-            mass = sum(
-                1.0 / d
-                for p, d in zip(seq.points, seq.norms)
-                if any(geometry_oracle.box_contains_point(b, p) for b in boxes)
-            )
+            hits = [any(geometry_oracle.box_contains_point(b, p) for b in boxes) for p in seq.points]
+            mass = sum((1.0 / d for d, hit in zip(seq.norms, hits) if hit), 0.0)
             assert repr(rec["lhs"]) == repr(mass)
 
     def test_dyadic_sweep_finite(self):
@@ -216,43 +212,12 @@ class TestFiniteMeasureAndRestrictedSum:
         assert ratio == pytest.approx(0.5, abs=0.02)
 
 
-class TestNormalize:
-    def test_deep_sequence_unchanged(self):
-        pts = tuple(DiscPoint(k * 1.0, math.exp(-150 - 10 * k)) for k in range(4))
-        seq = Sequence(pts)
-        assert sequences.normalize(seq).points == pts
-
-    def test_shallow_prefix_dropped(self):
-        shallow = DiscPoint(0.0, 0.3)
-        deep = tuple(DiscPoint(k * 1.0, math.exp(-150 - 10 * k)) for k in range(3))
-        seq = Sequence((shallow,) + deep)
-        assert sequences.normalize(seq).points == deep
-
-    def test_idempotent(self):
-        pts = (DiscPoint(0.0, 0.5), DiscPoint(1.0, math.exp(-200)), DiscPoint(2.0, math.exp(-210)))
-        once = sequences.normalize(Sequence(pts))
-        twice = sequences.normalize(once)
-        assert once.points == twice.points
-
-    def test_empty_result_warns(self):
-        seq = Sequence((DiscPoint(0.0, 0.5), DiscPoint(1.0, 0.4)))
-        with pytest.warns(UserWarning):
-            out = sequences.normalize(seq)
-        assert len(out) == 0
-
-    def test_bad_parameters(self):
-        seq = Sequence((DiscPoint(0.0, 0.5), DiscPoint(1.0, 0.4)))
-        with pytest.raises(DomainError):
-            sequences.normalize(seq, eta=0.5, beta=0.9)
-
-
 class TestGenerators:
     def test_radial_values(self):
         seq = sequences.generate("radial", {"lam": 0.5, "count": 5})
         assert [p.r for p in seq.points] == pytest.approx(
             [0.5, 0.75, 0.875, 0.9375, 0.96875]
         )
-        assert seq.tail_bound == pytest.approx(0.5**6 / 0.5)
 
     def test_disjoint_boxes_deterministic(self):
         a = sequences.generate("disjoint_boxes", {"count": 8}, seed=5)
@@ -355,17 +320,6 @@ class TestArrayLayerMatchesOracle:
                 i = rec["index"]
                 total = sum(1.0 / seq.norms[j] for j in sequence_oracle.restricted_vicinity(seq, i, gamma))
                 assert rec["lhs"] == total
-
-    @given(st.lists(disc_points(min_depth=1e-200, max_depth=0.5), max_size=10), st.integers(0, 3))
-    @example([DiscPoint(0.0, 0.5), DiscPoint(1.0, math.exp(-200)), DiscPoint(1.0, math.exp(-300))], 0)
-    def test_normalize(self, points, deep_tail):
-        # a sorted deep tail gives normalize something to keep
-        tail = [DiscPoint(0.5 * k, math.exp(-150.0 - 40.0 * k)) for k in range(deep_tail)]
-        seq = Sequence(tuple(points + tail))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = sequences.normalize(seq)
-        assert got.points == sequence_oracle.normalize(seq, sequences.DEFAULT_ETA, sequences.DEFAULT_BETA).points
 
 
 @pytest.fixture(scope="module")
