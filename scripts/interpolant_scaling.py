@@ -53,7 +53,7 @@ def main():
     args = parser.parse_args()
     print(f"{'family':>10} {'grid':>8} {'unknowns':>9} {'band':>5} {'wall ms':>8} {'cpu ms':>8}")
     for name, params in FAMILIES:
-        seq = sequences.generate("disjoint_boxes", params, seed=args.seed)
+        seq = sequences.disjoint_boxes(seed=args.seed, **params)
         for n_r, n_t in RESOLUTIONS:
             unknowns, band = band_shape(seq, (n_r, n_t))  # also the warm-up
             walls, cpus = [], []

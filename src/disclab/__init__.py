@@ -20,9 +20,7 @@ from .geometry import (
     carleson_box,
     expanded_box,
     harmonic_measure,
-    hyperbolic_distance,
     kernel_norm_sq,
-    mobius,
 )
 from .capacity import (
     CondenserSpec,
@@ -42,8 +40,9 @@ from .sequences import (
     check_finite_measure,
     check_theorem_d,
     check_weak_separation,
-    generate,
+    disjoint_boxes,
     restricted_vicinity,
+    union,
     vicinity,
 )
 from .tree import (

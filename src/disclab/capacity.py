@@ -87,6 +87,9 @@ CAP_DEN_FLOOR = CAP_SCALE / 22.9
 
 RIDGE_FACTOR = 1e-10
 
+# fewest quadrature nodes per arc that the equilibrium solve accepts
+MIN_QUAD_NODES = 8
+
 # rows per strip of the equilibrium energy matrix; temporaries stay O(n * block)
 _KERNEL_BLOCK = 64
 _STRICT_LOWER = np.tri(_KERNEL_BLOCK, k=-1, dtype=bool)
@@ -204,8 +207,8 @@ def equilibrium_measure(arcs: list[Arc], quad_nodes_per_arc: int = 24) -> Equili
     lower triangle with the ridged diagonal, solved again.  The energy
     w^T K w is summed from the lower triangle and the saved diagonal.
     """
-    if quad_nodes_per_arc < 8:
-        raise DomainError(f"need >= 8 nodes per arc, got {quad_nodes_per_arc}")
+    if quad_nodes_per_arc < MIN_QUAD_NODES:
+        raise DomainError(f"need >= {MIN_QUAD_NODES} nodes per arc, got {quad_nodes_per_arc}")
     arcs = geometry.merge_arcs(list(arcs))
     if not arcs:
         raise DomainError("empty arc family")

@@ -37,18 +37,27 @@ def _number(text: str) -> float:
     return value
 
 
+def _quad(text: str) -> int:
+    """Quadrature nodes per arc; fewer than the equilibrium solve accepts are refused."""
+    value = int(text)
+    if value < capacity.MIN_QUAD_NODES:
+        raise argparse.ArgumentTypeError(f"need >= {capacity.MIN_QUAD_NODES} nodes per arc, got {value}")
+    return value
+
+
 # Flags by name.  Each subcommand takes only the flags it reads.
 _FLAGS = {
     "gamma": dict(type=_number, default=sequences.DEFAULT_GAMMA),
     "eta": dict(type=_number, default=sequences.DEFAULT_ETA),
     "delta": dict(type=_number, default=sequences.DEFAULT_DELTA),
     "budget": dict(type=_number, default=sequences.COMPARABILITY_BUDGET),
-    "quad": dict(type=int, default=24, dest="quad_nodes"),
+    "quad": dict(type=_quad, default=24, dest="quad_nodes"),
     "grid-r": dict(type=int, default=96),
     "grid-t": dict(type=int, default=256),
     "seed": dict(type=int, default=0),
     "out": dict(default=None, help="write the JSON report here as well as stdout"),
     "csv": dict(default=None, help="write tabular output here"),
+    "arcs": dict(required=True, help="arc-family JSON for the cm sampler"),
 }
 
 # the parsed values a report echoes in its "config" block, in this order
@@ -101,8 +110,6 @@ def _parse_arcs(data) -> list:
 
 
 def cmd_check(args) -> int:
-    if args.condition == "mass" and args.csv:
-        raise InputError("check mass has no per-point table to write (--csv)")
     seq = sequences.load_sequence(args.sequence)
     if args.condition == "mass":
         total = sequences.check_finite_measure(seq)
@@ -113,8 +120,6 @@ def cmd_check(args) -> int:
     elif args.condition == "cc":
         report = sequences.check_capacitary_condition(seq, args.gamma, args.quad_nodes, args.budget)
     elif args.condition == "cm":
-        if args.arcs is None:
-            raise InputError("check cm needs an arc-family file (--arcs)")
         spec = sequences.read_json(args.arcs)
         with _parsing(f"arc families in {args.arcs} (want a list of arc lists under 'families')"):
             families = [_parse_arcs(f) for f in spec["families"]]
@@ -218,11 +223,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="run a sequence condition checker")
-    p_check.add_argument("condition", choices=["ws", "cc", "cm", "mass", "theorem-d"])
-    p_check.add_argument("sequence", help="sequence JSON file")
-    p_check.add_argument("--arcs", default=None, help="arc-family JSON for the cm sampler")
-    _add_flags(p_check, "gamma delta budget quad out csv")
-    p_check.set_defaults(func=cmd_check)
+    check_sub = p_check.add_subparsers(dest="condition", required=True)
+    for name, flags in (
+        ("ws", "delta csv out"),
+        ("cc", "gamma budget quad csv out"),
+        ("cm", "arcs budget quad csv out"),
+        ("mass", "out"),
+        ("theorem-d", "gamma budget csv out"),
+    ):
+        p = check_sub.add_parser(name)
+        p.add_argument("sequence", help="sequence JSON file")
+        _add_flags(p, flags)
+        p.set_defaults(func=cmd_check)
 
     p_tree = sub.add_parser("tree", help="tree capacities, combs, the counterexample")
     tree_sub = p_tree.add_subparsers(dest="tree_cmd", required=True)

@@ -9,11 +9,11 @@ points that are exponentially close to the boundary (depth ~ 2^-800)
 representable, which cartesian coordinates cannot do; all pairwise
 formulas route through a cancellation-free evaluation of 1 - w*conj(z).
 PointSet holds points as arrays and is the one implementation of the
-pairwise formulas; mobius and hyperbolic_distance evaluate it at one
-pair.  Box containment has one elementwise test, boxes_contain, and arc
-unions are grouped over the pairs that one sweep finds.  point_from_json
-and arc_from_json parse the input forms of points and arcs; of the point
-forms only {"theta", "depth"} is exact for deep points.
+pairwise formulas, a single pair included.  Box containment has one
+elementwise test, boxes_contain, and arc unions are grouped over the
+pairs that one sweep finds.  point_from_json and arc_from_json parse
+the input forms of points and arcs; of the point forms only
+{"theta", "depth"} is exact for deep points.
 """
 
 from __future__ import annotations
@@ -260,12 +260,6 @@ def point_from_json(d: dict) -> DiscPoint:
     raise InputError(f"cannot parse point: {d!r}")
 
 
-def mobius(z: DiscPoint, w: DiscPoint) -> DiscPoint:
-    """phi_z(w) for one pair of points; see PointSet.mobius."""
-    (image,) = PointSet.from_points([z]).mobius(PointSet.from_points([w])).points()
-    return image
-
-
 def kernel_norm_sq(z: DiscPoint) -> float:
     """d(z) = ||k_z||^2 = log(1/(1-|z|^2))/|z|^2; equals 1 at the origin."""
     s = z.depth
@@ -274,11 +268,6 @@ def kernel_norm_sq(z: DiscPoint) -> float:
         return 1.0 + x * (0.5 + x * (1.0 / 3.0 + x * 0.25))
     # 1 - x = s(2-s), evaluated in log form so depths ~1e-300 survive
     return -(math.log(s) + math.log(2.0 - s)) / x
-
-
-def hyperbolic_distance(z: DiscPoint, w: DiscPoint) -> float:
-    """Hyperbolic distance d(z, w) for one pair of points; see PointSet.hyperbolic_distance."""
-    return float(PointSet.from_points([z]).hyperbolic_distance(PointSet.from_points([w]))[0])
 
 
 @dataclass(frozen=True)

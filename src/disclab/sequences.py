@@ -327,7 +327,7 @@ def check_theorem_d(
     """
     records = []
     for i, d_i in enumerate(seq.norms):
-        total = sum(1.0 / seq.norms[j] for j in restricted_vicinity(seq, i, gamma))
+        total = sum((1.0 / seq.norms[j] for j in restricted_vicinity(seq, i, gamma)), 0.0)
         records.append({"index": i, "lhs": total, "rhs": 1.0 / d_i, "ratio": total * d_i})
     params = {"gamma": gamma, "K": budget}
     return _finish("restricted_vicinity_sum", records, params, budget)
@@ -337,42 +337,24 @@ def check_theorem_d(
 # generators
 
 
-def generate(kind: str, params: dict | None = None, seed: int = 0) -> Sequence:
-    params = dict(params or {})
-    if kind == "radial":
-        return _generate_radial(params)
-    if kind == "disjoint_boxes":
-        return _generate_disjoint_boxes(params, seed)
-    if kind == "union":
-        return _generate_union(params)
-    raise InputError(f"unknown generator kind: {kind}")
-
-
-def _generate_radial(params: dict) -> Sequence:
-    lam = float(params.get("lam", 0.5))
-    count = int(params.get("count", 5))
-    theta = float(params.get("theta", 0.0))
-    if not 0.0 < lam < 1.0 or count < 1:
-        raise InputError(f"radial generator needs 0 < lam < 1 and count >= 1, got {params}")
-    pts = tuple(DiscPoint(theta, lam**n) for n in range(1, count + 1))
-    return Sequence(pts, f"radial(lam={lam}, n={count})")
-
-
-def _generate_disjoint_boxes(params: dict, seed: int) -> Sequence:
-    count = int(params.get("count", 10))
-    exponent = float(params.get("eta", DEFAULT_GAMMA))
-    lo = float(params.get("depth_min", 2.0**-8))
-    hi = float(params.get("depth_max", 2.0**-6))
-    if not (0.0 < lo <= hi < 1.0 and 0.0 < exponent < 1.0):
-        raise InputError(f"bad disjoint_boxes params: {params}")
+def disjoint_boxes(
+    count: int = 10,
+    seed: int = 0,
+    eta: float = DEFAULT_GAMMA,
+    depth_min: float = 2.0**-8,
+    depth_max: float = 2.0**-6,
+) -> Sequence:
+    """count points with depths log-uniform in [depth_min, depth_max] and disjoint eta-expanded boxes."""
+    if not (0.0 < depth_min <= depth_max < 1.0 and 0.0 < eta < 1.0):
+        raise InputError(f"bad disjoint_boxes params: eta={eta}, depth_min={depth_min}, depth_max={depth_max}")
     rng = np.random.default_rng(seed)
-    depths = np.exp(rng.uniform(math.log(lo), math.log(hi), size=count))
+    depths = np.exp(rng.uniform(math.log(depth_min), math.log(depth_max), size=count))
     depths.sort()
     depths = depths[::-1]  # shallow first so the sequence is radius-ordered
     placed = []  # (center fraction, half-length fraction)
     pts = []
     for i, depth in enumerate(depths):
-        half = 0.5 * depth**exponent
+        half = 0.5 * depth**eta
         ok_angle = None
         for _ in range(600):
             frac = rng.uniform(0.0, 1.0)
@@ -385,17 +367,15 @@ def _generate_disjoint_boxes(params: dict, seed: int) -> Sequence:
             )
         placed.append((ok_angle, half))
         pts.append(DiscPoint(2.0 * math.pi * ok_angle, float(depth)))
-    seq = Sequence(tuple(pts), f"disjoint_boxes(n={count}, eta={exponent})")
+    seq = Sequence(tuple(pts), f"disjoint_boxes(n={count}, eta={eta})")
     for i in range(count):
-        if vicinity(seq, i, exponent):
+        if vicinity(seq, i, eta):
             raise InputError(f"disjoint_boxes produced overlapping boxes at point #{i}")
     return seq
 
 
-def _generate_union(params: dict) -> Sequence:
-    parts = params.get("parts")
-    if not parts:
-        raise InputError("union generator needs params['parts']")
+def union(parts) -> Sequence:
+    """The points of all parts, deepest last."""
     pts = [p for part in parts for p in part.points]
     pts.sort(key=lambda p: -p.depth)
     label = " | ".join(part.label or "?" for part in parts)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import geometry, sequences
 from .errors import DomainError, InputError, NumericalError
-from .geometry import Arc, CarlesonBox, DiscPoint
+from .geometry import DiscPoint
 
 LOG2 = math.log(2.0)
 
@@ -57,11 +57,6 @@ class TreeNode:
             return geometry.ORIGIN
         frac = Fraction(self.k % (2**self.n), 2**self.n)
         return DiscPoint(2.0 * math.pi * float(frac), math.ldexp(1.0, -self.n))
-
-    def box(self) -> CarlesonBox:
-        """The structural box over the dyadic arc [(k-1)/2^n, k/2^n]."""
-        center = 2.0 * math.pi * float(Fraction(2 * self.k - 1, 2 ** (self.n + 1)))
-        return CarlesonBox(Arc(center, math.ldexp(1.0, -self.n)), 1.0 - math.ldexp(1.0, -self.n))
 
 
 ROOT = TreeNode(0, 1)
@@ -224,10 +219,9 @@ class CombSpec:
         return TreeCondenser(self.anchor, tuple(self.teeth()))
 
 
-def default_anchor(big_n: int, angle_numerator: int = 0) -> TreeNode:
-    """Anchor z(k, N) at dyadic angle angle_numerator / 2^N (0 = angle 0)."""
-    k = angle_numerator % (2**big_n)
-    return TreeNode(big_n, k if k >= 1 else 2**big_n)
+def default_anchor(big_n: int) -> TreeNode:
+    """Anchor z(2^N, N), the last node of level N, at angle 0."""
+    return TreeNode(big_n, 2**big_n)
 
 
 def comb_capacity_recursive(big_n: int) -> float:
@@ -375,9 +369,8 @@ def counterexample_scenario(
             if geometry.expanded_box(a, eta).intersects(geometry.expanded_box(b, eta)):
                 raise InputError("anchor placement infeasible: expanded boxes overlap")
 
-    lattice = sequences.generate("disjoint_boxes", {"count": LATTICE_COUNT, "eta": eta}, seed)
-    comb_seqs = [comb_disc_sequence(c) for c in combs]
-    union = sequences.generate("union", {"parts": [lattice] + comb_seqs})
+    lattice = sequences.disjoint_boxes(LATTICE_COUNT, seed, eta)
+    union = sequences.union([lattice] + [comb_disc_sequence(c) for c in combs])
 
     ws = sequences.check_weak_separation(union, delta=0.0)
 
@@ -400,9 +393,7 @@ def counterexample_scenario(
         )
         ok &= tree_ratio >= 0.1
 
-    all_teeth = sequences.generate(
-        "union", {"parts": [comb_disc_sequence(c, include_anchor=False) for c in combs]}
-    )
+    all_teeth = sequences.union([comb_disc_sequence(c, include_anchor=False) for c in combs])
     teeth_cc = sequences.check_capacitary_condition(all_teeth, gamma)
     ok &= math.isfinite(teeth_cc.sup_ratio)
 

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import geometry_oracle
 from disclab import capacity, geometry, sequences, tree
 from disclab.geometry import ORIGIN, Arc, DiscPoint
 from disclab.sequences import Sequence
@@ -224,7 +225,7 @@ def test_criterion_09_equilibrium_potential_level(capsys):
     for _ in range(10):
         depth = rng.uniform(0.005, 0.03)
         w = DiscPoint(rng.uniform(0.0, 2.0 * math.pi), depth)
-        assert geometry.hyperbolic_distance(ORIGIN, w) > 2.0
+        assert geometry_oracle.hyperbolic_distance(ORIGIN, w) > 2.0
         spec = capacity.CondenserSpec(
             geometry.unit_hyperbolic_disc(ORIGIN), [geometry.unit_hyperbolic_disc(w)]
         )
@@ -248,7 +249,7 @@ def test_criterion_09_equilibrium_potential_level(capsys):
 
 
 def test_criterion_10_cc_checker_soundness(capsys):
-    boxes = sequences.generate("disjoint_boxes", {"count": 15}, seed=1)
+    boxes = sequences.disjoint_boxes(15, seed=1)
     zero_sup = sequences.check_capacitary_condition(boxes, 0.75).sup_ratio
     sups = []
     for m in (4, 6, 8, 10):
@@ -292,7 +293,7 @@ def test_criterion_11_counterexample_scenario(capsys):
 
 
 def test_criterion_12_sobolev_interpolant(capsys):
-    seq = sequences.generate("disjoint_boxes", {"count": 20}, seed=7)
+    seq = sequences.disjoint_boxes(20, seed=7)
     assert sequences.check_capacitary_condition(seq, 0.75).sup_ratio == 0.0
     rng = np.random.default_rng(12)
     data = rng.normal(size=(10, len(seq)))

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from disclab import cli, sequences
+from disclab import capacity, cli, sequences
 from disclab.geometry import DiscPoint
 
 
@@ -74,6 +74,14 @@ class TestCheck:
         code, out, _ = run(["check", "mass", str(write_sequence(tmp_path / "empty.json", []))], capsys)
         assert code == 0
         assert '"total_mass": 0.0,' in out
+        # a point with no restricted vicinity none either, in the report and the table
+        csv_path = tmp_path / "td.csv"
+        code, out, _ = run(["check", "theorem-d", str(good_sequence), "--csv", str(csv_path)], capsys)
+        assert code == 0
+        lhs = [rec["lhs"] for rec in json.loads(out)["records"]]
+        assert 0.0 in lhs and all(isinstance(x, float) for x in lhs)
+        assert out.count('"lhs": 0.0,') == lhs.count(0.0)
+        assert [row.split(",")[1] for row in csv_path.read_text().splitlines()[1:]].count("0.0") == lhs.count(0.0)
 
     def test_cc_with_csv(self, good_sequence, tmp_path, capsys):
         csv_path = tmp_path / "cc.csv"
@@ -101,23 +109,31 @@ class TestCheck:
             ["check", "ws", str(good_sequence), "--delta", "0.05"], capsys
         )
         assert code == 0
-        assert json.loads(out)["config"] == {
-            "gamma": sequences.DEFAULT_GAMMA,
-            "delta": 0.05,
-            "budget": sequences.COMPARABILITY_BUDGET,
-            "quad_nodes": 24,
-        }
+        assert json.loads(out)["config"] == {"delta": 0.05}
 
         # every other subcommand echoes exactly the parameters it reads
         arcs = tmp_path / "arcs.json"
         arcs.write_text(json.dumps({"arcs": [{"center_angle": 0.0, "length": 0.1}]}))
+        families = tmp_path / "families.json"
+        families.write_text(json.dumps({"families": [[{"center_angle": 0.0, "length": 0.25}]]}))
         condenser = tmp_path / "condenser.json"
         condenser.write_text(
             json.dumps({"z": {"theta": 0.0, "depth": 0.5}, "arcs": [{"center_angle": 3.0, "length": 0.01}]})
         )
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps(ANNULUS_SPEC))
+        seq = str(good_sequence)
         cases = [
+            (
+                ["check", "cc", seq, "--quad", "16"],
+                {"gamma": sequences.DEFAULT_GAMMA, "budget": sequences.COMPARABILITY_BUDGET, "quad_nodes": 16},
+            ),
+            (
+                ["check", "cm", seq, "--arcs", str(families), "--budget", "8"],
+                {"budget": 8.0, "quad_nodes": 24},
+            ),
+            (["check", "mass", seq], {}),
+            (["check", "theorem-d", seq, "--gamma", "0.5"], {"gamma": 0.5, "budget": sequences.COMPARABILITY_BUDGET}),
             (["tree", "cap", "--source", "3,2", "--target", "10,256"], {}),
             (["tree", "comb", "--m-max", "3"], {}),
             (
@@ -141,6 +157,10 @@ class TestFlags:
         [
             ["check", "ws", "seq.json", "--grid-r", "32"],
             ["check", "cc", "seq.json", "--seed", "1"],
+            ["check", "ws", "seq.json", "--arcs", "arcs.json"],
+            ["check", "mass", "seq.json", "--gamma", "0.3"],
+            ["check", "mass", "seq.json", "--csv", "mass.csv"],
+            ["check", "theorem-d", "seq.json", "--quad", "16"],
             ["tree", "cap", "--source", "3,2", "--target", "10,256", "--gamma", "0.5"],
             ["tree", "comb", "--quad", "16"],
             ["tree", "counterexample", "--delta", "0.1"],
@@ -156,6 +176,28 @@ class TestFlags:
             cli.main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_cm_without_arcs_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "cm", "seq.json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "required: --arcs" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "cc", "seq.json", "--quad", "0"], ["capacity", "condenser", "spec.json", "--quad", "7"]],
+        ids=["check-cc-0", "capacity-condenser-7"],
+    )
+    def test_quad_below_minimum_rejected(self, argv, capsys):
+        # too few nodes give a NaN capacity, so the count is refused before any file is read
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"need >= {capacity.MIN_QUAD_NODES} nodes per arc" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv",
@@ -279,7 +321,7 @@ class TestCapacity:
 
 
 # the malformed-input cases whose message names no file
-NAMES_NO_FILE = {"non-numeric-point", "cm-without-arcs", "mass-with-csv"}
+NAMES_NO_FILE = {"non-numeric-point"}
 
 # files written for the malformed-input cases, by name: bytes as they are, anything else as JSON
 MALFORMED = {
@@ -297,7 +339,6 @@ MALFORMED = {
     [
         ["check", "ws", "{dir}/missing.json"],
         ["check", "ws", "{bad_point}"],
-        ["check", "cm", "{seq}"],
         ["check", "cm", "{seq}", "--arcs", "{no_families}"],
         ["capacity", "arcs", "{arc_list}"],
         ["check", "ws", "{utf16}"],
@@ -308,12 +349,10 @@ MALFORMED = {
         ["check", "cc", "{seq}", "--csv", "{dir}"],
         ["tree", "comb", "--csv", "{dir}/missing/a.csv"],
         ["capacity", "grid", "{annulus}", "--grid-r", "32", "--grid-t", "64", "--csv", "{dir}/missing/a.csv"],
-        ["check", "mass", "{seq}", "--csv", "{dir}/mass.csv"],
     ],
     ids=[
         "missing-sequence",
         "non-numeric-point",
-        "cm-without-arcs",
         "arcs-without-families",
         "spec-not-an-object",
         "sequence-not-utf8",
@@ -324,7 +363,6 @@ MALFORMED = {
         "csv-is-a-dir",
         "comb-csv-in-missing-dir",
         "grid-csv-in-missing-dir",
-        "mass-with-csv",
     ],
 )
 def test_malformed_input_exits_2(argv, good_sequence, tmp_path, capsys, request):
@@ -445,7 +483,7 @@ def test_interpolant_route_loads_no_scipy_sparse():
     # the interpolant's parts solve is one banded Cholesky factorisation from scipy.linalg
     code = (
         "from disclab import sequences; "
-        "seq = sequences.generate('disjoint_boxes', {'count': 6}, seed=11); "
+        "seq = sequences.disjoint_boxes(6, seed=11); "
         "sequences._build_blocks(seq, 0.75, (64, 256))"
     )
     loaded = _scipy_modules_after(code)

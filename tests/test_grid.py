@@ -562,7 +562,7 @@ def setups():
     seed 24 two supports sit side by side, so their blocks share edges."""
     out = []
     for seed in (11, 24):
-        seq = sequences.generate("disjoint_boxes", {"count": 6}, seed=seed)
+        seq = sequences.disjoint_boxes(6, seed=seed)
         blocks = sequences._build_blocks(seq, 0.75, (48, 192))
         out.append((seq, blocks, _OracleBlocks(seq, 0.75, blocks.grid)))
     return out

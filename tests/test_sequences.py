@@ -21,7 +21,7 @@ def rotated(seq, angle):
 
 @pytest.fixture(scope="module")
 def boxes12():
-    return sequences.generate("disjoint_boxes", {"count": 12, "eta": 0.75}, seed=3)
+    return sequences.disjoint_boxes(12, seed=3, eta=0.75)
 
 
 class TestVicinity:
@@ -214,40 +214,32 @@ class TestFiniteMeasureAndRestrictedSum:
 
 class TestGenerators:
     def test_radial_values(self):
-        seq = sequences.generate("radial", {"lam": 0.5, "count": 5})
+        seq = Sequence(tuple(DiscPoint(0.0, 0.5**n) for n in range(1, 6)))
         assert [p.r for p in seq.points] == pytest.approx(
             [0.5, 0.75, 0.875, 0.9375, 0.96875]
         )
 
     def test_disjoint_boxes_deterministic(self):
-        a = sequences.generate("disjoint_boxes", {"count": 8}, seed=5)
-        b = sequences.generate("disjoint_boxes", {"count": 8}, seed=5)
+        a = sequences.disjoint_boxes(8, seed=5)
+        b = sequences.disjoint_boxes(8, seed=5)
         assert a.points == b.points
 
     def test_union_weakly_separated(self):
-        a = sequences.generate("disjoint_boxes", {"count": 6}, seed=1)
-        b = sequences.generate("disjoint_boxes", {"count": 6, "depth_min": 2.0**-12, "depth_max": 2.0**-10}, seed=2)
-        union = sequences.generate("union", {"parts": [a, b]})
+        a = sequences.disjoint_boxes(6, seed=1)
+        b = sequences.disjoint_boxes(6, seed=2, depth_min=2.0**-12, depth_max=2.0**-10)
+        union = sequences.union([a, b])
         assert len(union) == 12
         report = sequences.check_weak_separation(union)
         assert report.params["metric_min"] > 0.0
 
     def test_infeasible_packing_names_point(self):
         with pytest.raises(InputError, match="cannot place point"):
-            sequences.generate(
-                "disjoint_boxes",
-                {"count": 40, "depth_min": 0.3, "depth_max": 0.4, "eta": 0.5},
-                seed=0,
-            )
-
-    def test_unknown_kind(self):
-        with pytest.raises(InputError):
-            sequences.generate("spiral", {})
+            sequences.disjoint_boxes(40, seed=0, eta=0.5, depth_min=0.3, depth_max=0.4)
 
     def test_disjoint_boxes_overlap_raises(self, monkeypatch):
         monkeypatch.setattr(sequences, "vicinity", lambda seq, i, gamma: [i + 1])
         with pytest.raises(InputError, match="overlapping boxes at point #0"):
-            sequences.generate("disjoint_boxes", {"count": 3}, seed=0)
+            sequences.disjoint_boxes(3, seed=0)
 
 
 def metric_close(got, want):
@@ -324,7 +316,7 @@ class TestArrayLayerMatchesOracle:
 
 @pytest.fixture(scope="module")
 def setup():
-    seq = sequences.generate("disjoint_boxes", {"count": 6}, seed=11)
+    seq = sequences.disjoint_boxes(6, seed=11)
     blocks = sequences._build_blocks(seq, 0.75, (48, 192))
     return seq, blocks
 

@@ -11,7 +11,7 @@ from disclab import cli, geometry, sequences, tree
 from disclab.errors import DomainError, InputError, NumericalError
 from disclab.tree import ROOT, CombSpec, TreeCondenser, TreeNode
 import geometry_oracle
-from tree_oracle import child_minus, dense_capacity, parent, path_union_size_walk
+from tree_oracle import box, child_minus, dense_capacity, parent, path_union_size_walk
 
 
 def random_node(rng, max_level=12):
@@ -100,9 +100,9 @@ class TestStructure:
         rng = np.random.default_rng(8)
         for _ in range(100):
             alpha = random_node(rng, 20)
-            box = alpha.box()
-            assert geometry_oracle.contains_box(box, child_minus(alpha).box())
-            assert geometry_oracle.contains_box(box, alpha.child_plus().box())
+            outer = box(alpha)
+            assert geometry_oracle.contains_box(outer, box(child_minus(alpha)))
+            assert geometry_oracle.contains_box(outer, box(alpha.child_plus()))
 
     def test_embedded_point_in_own_box(self):
         rng = np.random.default_rng(4)
@@ -110,7 +110,7 @@ class TestStructure:
             alpha = random_node(rng, 30)
             if alpha.n == 0:
                 continue
-            assert geometry_oracle.box_contains_point(alpha.box(), alpha.embed())
+            assert geometry_oracle.box_contains_point(box(alpha), alpha.embed())
 
     def test_lca(self):
         a = TreeNode(6, 5)

@@ -4,12 +4,17 @@ The full path union is built by walking every target up to the source
 one parent at a time, and the grounded Laplacian on it is solved densely
 with unit conductances.  Nothing is compressed, so these share no code
 with the virtual tree that the library folds and solves on.  The tree
-steps that only tests take, parent and child_minus, are here too.
+steps that only tests take, parent and child_minus, are here too, with
+the structural box of a node.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
 from disclab.errors import DomainError
+from disclab.geometry import Arc, CarlesonBox
 from disclab.tree import TreeCondenser, TreeNode
 
 
@@ -22,6 +27,12 @@ def parent(node: TreeNode) -> TreeNode:
 def child_minus(node: TreeNode) -> TreeNode:
     """The child over the first half of the node's dyadic arc."""
     return TreeNode(node.n + 1, 2 * node.k - 1)
+
+
+def box(node: TreeNode) -> CarlesonBox:
+    """The structural box over the dyadic arc [(k-1)/2^n, k/2^n]."""
+    center = 2.0 * math.pi * float(Fraction(2 * node.k - 1, 2 ** (node.n + 1)))
+    return CarlesonBox(Arc(center, math.ldexp(1.0, -node.n)), 1.0 - math.ldexp(1.0, -node.n))
 
 
 def path_union(cond: TreeCondenser):
