@@ -87,7 +87,8 @@ CAP_DEN_FLOOR = CAP_SCALE / 22.9
 
 RIDGE_FACTOR = 1e-10
 
-# fewest quadrature nodes per arc that the equilibrium solve accepts
+# quadrature nodes per arc: the default, and the fewest the equilibrium solve accepts
+DEFAULT_QUAD_NODES = 24
 MIN_QUAD_NODES = 8
 
 # rows per strip of the equilibrium energy matrix; temporaries stay O(n * block)
@@ -190,7 +191,7 @@ def _ridge_condition(k: np.ndarray, ridged: np.ndarray) -> float:
     return float(np.linalg.cond(full))
 
 
-def equilibrium_measure(arcs: list[Arc], quad_nodes_per_arc: int = 24) -> EquilibriumMeasure:
+def equilibrium_measure(arcs: list[Arc], quad_nodes_per_arc: int = DEFAULT_QUAD_NODES) -> EquilibriumMeasure:
     """Equilibrium measure of a finite union of disjoint arcs.
 
     The unit-mass measure with constant potential on the nodes minimises
@@ -261,7 +262,7 @@ def equilibrium_measure(arcs: list[Arc], quad_nodes_per_arc: int = 24) -> Equili
     return EquilibriumMeasure(angles, w, energy)
 
 
-def log_capacity(arcs: list[Arc], quad_nodes_per_arc: int = 24) -> float:
+def log_capacity(arcs: list[Arc], quad_nodes_per_arc: int = DEFAULT_QUAD_NODES) -> float:
     """C(E) = cap_D(Delta_1(0), E) for a finite union of arcs; 0 if empty."""
     arcs = list(arcs)
     if not arcs:
@@ -270,7 +271,7 @@ def log_capacity(arcs: list[Arc], quad_nodes_per_arc: int = 24) -> float:
     return CAP_SCALE / max(mu.energy + CAP_SHIFT, CAP_DEN_FLOOR)
 
 
-def condenser_capacity(z: DiscPoint, targets: list, quad_nodes_per_arc: int = 24) -> CondenserResult:
+def condenser_capacity(z: DiscPoint, targets: list, quad_nodes_per_arc: int = DEFAULT_QUAD_NODES) -> CondenserResult:
     """cap_D(Delta_1(z), targets) for points and arcs via Mobius transfer to arcs at the origin.
 
     A point stands for the arc of its image; the reduction is a

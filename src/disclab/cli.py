@@ -31,15 +31,19 @@ EXIT_NUMERICAL = 3
 
 def _number(text: str) -> float:
     """A float flag; NaN compares false to everything, so it is refused."""
-    value = float(text)
-    if math.isnan(value):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    return value
+    with contextlib.suppress(ValueError):
+        value = float(text)
+        if not math.isnan(value):
+            return value
+    raise argparse.ArgumentTypeError(f"not a number: {text!r}")
 
 
 def _quad(text: str) -> int:
     """Quadrature nodes per arc; fewer than the equilibrium solve accepts are refused."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < capacity.MIN_QUAD_NODES:
         raise argparse.ArgumentTypeError(f"need >= {capacity.MIN_QUAD_NODES} nodes per arc, got {value}")
     return value
@@ -51,7 +55,7 @@ _FLAGS = {
     "eta": dict(type=_number, default=sequences.DEFAULT_ETA),
     "delta": dict(type=_number, default=sequences.DEFAULT_DELTA),
     "budget": dict(type=_number, default=sequences.COMPARABILITY_BUDGET),
-    "quad": dict(type=_quad, default=24, dest="quad_nodes"),
+    "quad": dict(type=_quad, default=capacity.DEFAULT_QUAD_NODES, dest="quad_nodes"),
     "grid-r": dict(type=int, default=96),
     "grid-t": dict(type=int, default=256),
     "seed": dict(type=int, default=0),
@@ -90,7 +94,7 @@ def _emit(report: dict, args):
     given = vars(args)
     config = {key: given[key] for key in _CONFIG_KEYS if key in given}
     report = {"version": __version__, "config": config, **report}
-    text = json.dumps(report, indent=2, default=str)
+    text = json.dumps(report, indent=2)
     if args.out:
         _write(args.out, text + "\n")
     print(text)
@@ -234,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = check_sub.add_parser(name)
         p.add_argument("sequence", help="sequence JSON file")
         _add_flags(p, flags)
-        p.set_defaults(func=cmd_check)
+        p.set_defaults(func=cmd_check, parser=p)
 
     p_tree = sub.add_parser("tree", help="tree capacities, combs, the counterexample")
     tree_sub = p_tree.add_subparsers(dest="tree_cmd", required=True)
@@ -242,21 +246,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--source", required=True, help="level,index")
     p_cap.add_argument("--target", required=True, nargs="+", help="level,index ...")
     _add_flags(p_cap, "out")
-    p_cap.set_defaults(func=cmd_tree)
+    p_cap.set_defaults(func=cmd_tree, parser=p_cap)
     p_comb = tree_sub.add_parser("comb")
     p_comb.add_argument("--m-min", type=int, default=2)
     p_comb.add_argument("--m-max", type=int, default=10)
     p_comb.add_argument("--exact", action="store_true", help="also run the linear-solver oracle")
     _add_flags(p_comb, "csv out")
-    p_comb.set_defaults(func=cmd_tree)
+    p_comb.set_defaults(func=cmd_tree, parser=p_comb)
     p_ce = tree_sub.add_parser("counterexample")
     p_ce.add_argument("--m", type=int, nargs="+", default=[4, 5, 6])
     _add_flags(p_ce, "gamma eta seed out")
-    p_ce.set_defaults(func=cmd_tree)
+    p_ce.set_defaults(func=cmd_tree, parser=p_ce)
     p_dist = tree_sub.add_parser("distcheck")
     p_dist.add_argument("--n-max", type=int, default=60)
     _add_flags(p_dist, "out")
-    p_dist.set_defaults(func=cmd_tree)
+    p_dist.set_defaults(func=cmd_tree, parser=p_dist)
 
     p_capc = sub.add_parser("capacity", help="capacity of arc unions and condensers")
     cap_sub = p_capc.add_subparsers(dest="cap_cmd", required=True)
@@ -264,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = cap_sub.add_parser(name)
         p.add_argument("spec", help="spec JSON file")
         _add_flags(p, flags)
-        p.set_defaults(func=cmd_capacity)
+        p.set_defaults(func=cmd_capacity, parser=p)
 
     return parser
 
@@ -274,7 +278,11 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    # leftover arguments are refused by the subcommand's own parser, whose
+    # usage line names the flags it does take
+    args, extra = _parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except InputError as exc:

@@ -10,10 +10,10 @@ representable, which cartesian coordinates cannot do; all pairwise
 formulas route through a cancellation-free evaluation of 1 - w*conj(z).
 PointSet holds points as arrays and is the one implementation of the
 pairwise formulas, a single pair included.  Box containment has one
-elementwise test, boxes_contain, and arc unions are grouped over the
-pairs that one sweep finds.  point_from_json and arc_from_json parse
-the input forms of points and arcs; of the point forms only
-{"theta", "depth"} is exact for deep points.
+elementwise test, boxes_contain, and arc meeting one sweep,
+intersecting_arc_pairs, over whose pairs arc unions are grouped.
+point_from_json and arc_from_json parse the input forms of points and
+arcs; of the point forms only {"theta", "depth"} is exact for deep points.
 """
 
 from __future__ import annotations
@@ -99,16 +99,8 @@ class DiscPoint:
         return 1.0 - self.depth
 
     @property
-    def re(self) -> float:
-        return self.r * math.cos(self.theta)
-
-    @property
-    def im(self) -> float:
-        return self.r * math.sin(self.theta)
-
-    @property
     def z(self) -> complex:
-        return complex(self.re, self.im)
+        return complex(self.r * math.cos(self.theta), self.r * math.sin(self.theta))
 
     def is_origin(self) -> bool:
         return self.depth == 1.0
@@ -298,23 +290,9 @@ class Arc:
     def is_full_circle(self) -> bool:
         return self.length >= 1.0
 
-    def intersects(self, other: "Arc") -> bool:
-        if self.is_full_circle() or other.is_full_circle():
-            return True
-        gap = abs(_signed_angle(other.center_angle - self.center_angle))
-        return gap <= self.half_width + other.half_width
-
 
 def arc_from_json(d: dict) -> Arc:
     return Arc(float(d["center_angle"]), float(d["length"]))
-
-
-def arc_from_endpoints(start: float, end: float) -> Arc:
-    """Arc traversed counterclockwise from angle start to angle end."""
-    span = _wrap_angle(end - start)
-    if span == 0.0:
-        span = TWO_PI
-    return Arc(start + 0.5 * span, span / TWO_PI)
 
 
 def merge_arcs(arcs: list[Arc]) -> list[Arc]:
@@ -337,7 +315,8 @@ def intersecting_arc_pairs(center: np.ndarray, half_width: np.ndarray) -> tuple[
     center and half_width are as Arc stores them.  A sort-and-sweep over
     the arc extents on the line proposes the pairs whose extents overlap,
     in O(k log k + proposals); each is confirmed with the float test of
-    Arc.intersects, so the pairs are those that testing all k^2 gives.
+    the scalar reference arcs_meet in tests/geometry_oracle.py, so the
+    pairs are those that testing all k^2 gives.
     """
     k = len(center)
     if k < 2:
@@ -422,12 +401,21 @@ def _boundary_mobius_angle(z: DiscPoint, t: float) -> float:
 
 
 def arc_mobius_image(z: DiscPoint, arc: Arc) -> Arc:
-    """Image of a boundary arc under phi_z (an arc again, orientation kept)."""
+    """Image of a boundary arc under phi_z (an arc again, orientation kept).
+
+    The image runs counterclockwise between the endpoint images.  Where
+    those round to one angle, the arc is scaled by |phi_z'| at its center
+    e^{ic}, which is (1-|z|^2)/|e^{ic} - z|^2.
+    """
     if arc.is_full_circle():
         return Arc(0.0, 1.0)
     a = _boundary_mobius_angle(z, arc.start)
     b = _boundary_mobius_angle(z, arc.end)
-    return arc_from_endpoints(a, b)
+    if a == b:
+        stretch = z.depth * (2.0 - z.depth) / abs(cmath.exp(1j * arc.center_angle) - z.z) ** 2
+        return Arc(_boundary_mobius_angle(z, arc.center_angle), arc.length * stretch)
+    span = _wrap_angle(b - a)
+    return Arc(a + 0.5 * span, span / TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -441,10 +429,6 @@ class CarlesonBox:
         # inner_radius 1.0 is allowed: boxes of very deep points round to it
         if not (0.0 <= self.inner_radius <= 1.0):
             raise DomainError(f"inner radius out of [0,1]: {self.inner_radius}")
-
-    def intersects(self, other: "CarlesonBox") -> bool:
-        # both boxes reach the circle, so arc overlap is enough
-        return self.base_arc.intersects(other.base_arc)
 
 
 def boxes_contain(outer_center, outer_length, outer_radius, center, length, radius) -> np.ndarray:

@@ -35,7 +35,6 @@ class Sequence:
     """Finite (truncated) point sequence with cached kernel norms."""
 
     points: tuple
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -65,7 +64,7 @@ def sequence_from_json(d: dict) -> Sequence:
         pts = tuple(geometry.point_from_json(p) for p in d["points"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed sequence JSON: {exc}") from exc
-    return Sequence(pts, d.get("label", ""))
+    return Sequence(pts)
 
 
 def read_json(path) -> dict:
@@ -247,7 +246,7 @@ def check_weak_separation(seq: Sequence, delta: float = DEFAULT_DELTA) -> CheckR
 def check_capacitary_condition(
     seq: Sequence,
     gamma: float = DEFAULT_GAMMA,
-    quad_nodes_per_arc: int = 24,
+    quad_nodes_per_arc: int = capacity.DEFAULT_QUAD_NODES,
     budget: float = COMPARABILITY_BUDGET,
 ) -> CheckReport:
     """Capacity of the Mobius-pulled vicinity arcs against 1/d(z_i)."""
@@ -277,7 +276,7 @@ def check_capacitary_condition(
 def check_carleson(
     seq: Sequence,
     test_families: list,
-    quad_nodes_per_arc: int = 24,
+    quad_nodes_per_arc: int = capacity.DEFAULT_QUAD_NODES,
     budget: float = COMPARABILITY_BUDGET,
 ) -> CheckReport:
     """Mass-in-box against capacity over the supplied arc families only.
@@ -285,7 +284,6 @@ def check_carleson(
     A sampler for the necessary condition, not an exhaustive supremum.
     """
     records = []
-    warnings = []
     pts = seq.pointset
     for fi, family in enumerate(test_families):
         arcs = geometry.merge_arcs(list(family))
@@ -300,16 +298,11 @@ def check_carleson(
         # Python's sum in point order, as the scalar loop added the masses
         mass = sum((1.0 / d for d, hit in zip(seq.norms, inside.any(axis=1).tolist()) if hit), 0.0)
         cap_e = capacity.log_capacity(arcs, quad_nodes_per_arc)
-        if mass == 0.0:
-            ratio = 0.0
-        elif cap_e == 0.0:
-            ratio = math.inf
-            warnings.append(f"family {fi}: positive mass over zero capacity")
-        else:
-            ratio = mass / cap_e
+        # positive mass needs a point over a merged arc, so cap_e > 0 then
+        ratio = mass / cap_e if mass else 0.0
         records.append({"index": fi, "lhs": mass, "rhs": cap_e, "ratio": ratio})
     params = {"quad_nodes_per_arc": quad_nodes_per_arc, "K": budget, "families": len(test_families)}
-    return _finish("carleson_measure", records, params, budget, warnings)
+    return _finish("carleson_measure", records, params, budget)
 
 
 def check_finite_measure(seq: Sequence) -> float:
@@ -367,7 +360,7 @@ def disjoint_boxes(
             )
         placed.append((ok_angle, half))
         pts.append(DiscPoint(2.0 * math.pi * ok_angle, float(depth)))
-    seq = Sequence(tuple(pts), f"disjoint_boxes(n={count}, eta={eta})")
+    seq = Sequence(tuple(pts))
     for i in range(count):
         if vicinity(seq, i, eta):
             raise InputError(f"disjoint_boxes produced overlapping boxes at point #{i}")
@@ -378,8 +371,7 @@ def union(parts) -> Sequence:
     """The points of all parts, deepest last."""
     pts = [p for part in parts for p in part.points]
     pts.sort(key=lambda p: -p.depth)
-    label = " | ".join(part.label or "?" for part in parts)
-    return Sequence(tuple(pts), f"union({label})")
+    return Sequence(tuple(pts))
 
 
 # ---------------------------------------------------------------------------

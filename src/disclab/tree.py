@@ -39,15 +39,10 @@ class TreeNode:
     def child_plus(self) -> "TreeNode":
         return TreeNode(self.n + 1, 2 * self.k)
 
-    def ancestor_at(self, level: int) -> "TreeNode":
-        if not 0 <= level <= self.n:
-            raise DomainError(f"no ancestor at level {level} for level-{self.n} node")
-        j = self.n - level
-        return TreeNode(level, ((self.k - 1) >> j) + 1)
-
     def is_below(self, other: "TreeNode") -> bool:
         """True iff the box of self is contained in the box of other."""
-        return self.n >= other.n and self.ancestor_at(other.n) == other
+        # other's dyadic index is a prefix of self's
+        return self.n >= other.n and (self.k - 1) >> (self.n - other.n) == other.k - 1
 
     def embed(self) -> DiscPoint:
         """The disc point (1 - 2^-n) e^{2 pi i k / 2^n}."""
@@ -105,14 +100,12 @@ def _virtual_tree(cond: TreeCondenser):
     nodes = sorted({cond.source, *targets, *lcas}, key=dfs_key)
     parent, length, stack = [-1], [0], [0]
     for i, node in enumerate(nodes[1:], start=1):
-        # pop the stack down to the deepest kept ancestor of node
-        while True:
-            top = nodes[stack[-1]]
-            if top.n < node.n and (node.k - 1) >> (node.n - top.n) == top.k - 1:
-                break
+        # pop the stack down to the deepest kept ancestor of node; the kept
+        # nodes are distinct, so an ancestor is a strict one
+        while not node.is_below(nodes[stack[-1]]):
             stack.pop()
         parent.append(stack[-1])
-        length.append(node.n - top.n)
+        length.append(node.n - nodes[stack[-1]].n)
         stack.append(i)
     target_set = set(targets)
     return parent, length, [node in target_set for node in nodes]
@@ -312,8 +305,7 @@ MASS_BUDGET = 64.0
 def comb_disc_sequence(spec: CombSpec, include_anchor: bool = True):
     """The comb embedded in the disc: anchor (optional) plus teeth."""
     nodes = ([spec.anchor] if include_anchor else []) + spec.teeth()
-    pts = tuple(node.embed() for node in nodes)
-    return sequences.Sequence(pts, f"comb(N={spec.big_n})")
+    return sequences.Sequence(tuple(node.embed() for node in nodes))
 
 
 @dataclass
@@ -363,11 +355,13 @@ def counterexample_scenario(
         k = i * 2 ** (big_n - 2) + 1  # quadrant-separated dyadic anchors
         combs.append(CombSpec(TreeNode(big_n, k)))
 
-    anchors = [c.anchor.embed() for c in combs]
-    for i, a in enumerate(anchors):
-        for b in anchors[i + 1 :]:
-            if geometry.expanded_box(a, eta).intersects(geometry.expanded_box(b, eta)):
-                raise InputError("anchor placement infeasible: expanded boxes overlap")
+    # both boxes reach the circle, so they meet where their base arcs do
+    arcs = [geometry.expanded_box(c.anchor.embed(), eta).base_arc for c in combs]
+    first, _ = geometry.intersecting_arc_pairs(
+        np.array([a.center_angle for a in arcs]), np.array([a.half_width for a in arcs])
+    )
+    if len(first):
+        raise InputError("anchor placement infeasible: expanded boxes overlap")
 
     lattice = sequences.disjoint_boxes(LATTICE_COUNT, seed, eta)
     union = sequences.union([lattice] + [comb_disc_sequence(c) for c in combs])

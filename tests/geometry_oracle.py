@@ -3,8 +3,9 @@
 One pair at a time in Python complex arithmetic, with the C library's
 exp, log and hypot: the Dirichlet kernel and its metric, the Mobius map
 and hyperbolic distance that `PointSet` evaluates over arrays, the
-box containment that `boxes_contain` tests elementwise, and the point in
-box test that `check_carleson` makes over points x boxes.  None of them
+box containment that `boxes_contain` tests elementwise, the arc meeting
+that `intersecting_arc_pairs` confirms, and the point in box test that
+`check_carleson` makes over points x boxes.  None of them
 calls `PointSet`, `boxes_contain` or the arc sweep.
 """
 
@@ -77,6 +78,12 @@ def hyperbolic_distance(z: DiscPoint, w: DiscPoint) -> float:
     """(1/2) log((1+rho)/(1-rho)) with rho = |phi_z(w)|."""
     m = mobius(z, w)
     return 0.5 * math.log((2.0 - m.depth) / m.depth)
+
+
+def arcs_meet(a: Arc, b: Arc) -> bool:
+    if a.is_full_circle() or b.is_full_circle():
+        return True
+    return abs(_signed_angle(b.center_angle - a.center_angle)) <= a.half_width + b.half_width
 
 
 def contains_arc(outer: Arc, inner: Arc) -> bool:

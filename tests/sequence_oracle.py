@@ -24,7 +24,7 @@ def vicinity(seq: Sequence, i: int, gamma: float) -> list[int]:
             continue
         if zj.depth > zi.depth or (zj.depth == zi.depth and j < i):
             continue
-        if geometry.expanded_box(zj, gamma).intersects(box_i):
+        if geometry_oracle.arcs_meet(geometry.expanded_box(zj, gamma).base_arc, box_i.base_arc):
             out.append(j)
     return out
 
@@ -100,7 +100,7 @@ def _merge_intervals(arcs: list[Arc]) -> list[Arc]:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if arcs[i].intersects(arcs[j]):
+            if geometry_oracle.arcs_meet(arcs[i], arcs[j]):
                 group[find(i)] = find(j)
     clusters: dict[int, list[Arc]] = {}
     for i, a in enumerate(arcs):

@@ -185,6 +185,15 @@ class TestCondenserCapacity:
             product = result.value * geometry_oracle.hyperbolic_distance(z, w)
             assert 1.0 / 64.0 <= product <= 64.0
 
+    def test_falls_with_sub_resolution_arc_length(self):
+        # below about 1e-16 the arc's endpoint images round to one angle;
+        # the capacity keeps falling with the length instead of jumping to
+        # the full circle's
+        z = DiscPoint(0.0, 0.5)
+        caps = [capacity.condenser_capacity(z, [Arc(1.0, 10.0**-e)]).value for e in range(14, 19)]
+        assert all(a > b > 0.0 for a, b in zip(caps, caps[1:]))
+        assert caps[-1] < 0.1 < capacity.log_capacity([Arc(0.0, 1.0)])
+
     def test_empty_targets_rejected(self):
         with pytest.raises(DomainError):
             capacity.condenser_capacity(ORIGIN, [])

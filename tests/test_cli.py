@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -35,6 +36,14 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def leaf_commands(parser, prefix=()):
+    """The subcommand paths of parser's leaves, such as ("check", "ws")."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {prefix}
+    return {leaf for name, p in subs[0].choices.items() for leaf in leaf_commands(p, prefix + (name,))}
 
 
 class TestCheck:
@@ -105,13 +114,7 @@ class TestCheck:
         assert json.loads(out)["records"]
 
     def test_config_echoed(self, good_sequence, tmp_path, capsys):
-        code, out, _ = run(
-            ["check", "ws", str(good_sequence), "--delta", "0.05"], capsys
-        )
-        assert code == 0
-        assert json.loads(out)["config"] == {"delta": 0.05}
-
-        # every other subcommand echoes exactly the parameters it reads
+        # every subcommand prints plain JSON that echoes exactly the parameters it reads
         arcs = tmp_path / "arcs.json"
         arcs.write_text(json.dumps({"arcs": [{"center_angle": 0.0, "length": 0.1}]}))
         families = tmp_path / "families.json"
@@ -124,6 +127,7 @@ class TestCheck:
         grid.write_text(json.dumps(ANNULUS_SPEC))
         seq = str(good_sequence)
         cases = [
+            (["check", "ws", seq, "--delta", "0.05"], {"delta": 0.05}),
             (
                 ["check", "cc", seq, "--quad", "16"],
                 {"gamma": sequences.DEFAULT_GAMMA, "budget": sequences.COMPARABILITY_BUDGET, "quad_nodes": 16},
@@ -145,6 +149,8 @@ class TestCheck:
             (["capacity", "condenser", str(condenser)], {"quad_nodes": 24}),
             (["capacity", "grid", str(grid), "--grid-r", "32", "--grid-t", "64"], {"grid_r": 32, "grid_t": 64}),
         ]
+        # a new subcommand needs a case here
+        assert sorted(tuple(argv[:2]) for argv, _ in cases) == sorted(leaf_commands(cli.build_parser()))
         for argv, config in cases:
             code, out, _ = run(argv, capsys)
             assert code == 0
@@ -175,7 +181,10 @@ class TestFlags:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        # the subcommand's own usage line, which lists the flags it takes
+        assert f"usage: disclab {argv[0]} {argv[1]} " in err
 
     def test_cm_without_arcs_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -200,16 +209,24 @@ class TestFlags:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "argv",
-        [["check", "ws", "seq.json", "--delta", "nan"], ["check", "cc", "seq.json", "--budget", "nan"]],
-        ids=["ws-delta", "cc-budget"],
+        "argv, message",
+        [
+            (["check", "ws", "seq.json", "--delta", "nan"], "not a number: 'nan'"),
+            (["check", "cc", "seq.json", "--budget", "nan"], "not a number: 'nan'"),
+            (["check", "cc", "seq.json", "--gamma", "x"], "not a number: 'x'"),
+            (["check", "cc", "seq.json", "--quad", "x"], "not an integer: 'x'"),
+        ],
+        ids=["ws-delta", "cc-budget", "cc-gamma-x", "cc-quad-x"],
     )
-    def test_nan_rejected(self, argv, capsys):
+    def test_nan_rejected(self, argv, message, capsys):
         # NaN compares false, so a check against it would fail (exit 1) instead of refusing the input
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
-        assert "not a number" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        # the message names the flag's meaning, not the parser's private type function
+        assert "_number" not in err and "_quad" not in err
 
     def test_benchmark_invocations_parse(self):
         parser = cli.build_parser()
@@ -231,6 +248,13 @@ class TestTree:
         report = json.loads(out)
         assert report["capacity_exact"] == pytest.approx(1.0 / 7.0, abs=1e-10)
         assert report["difference"] <= 1e-10
+
+    def test_target_not_below_source_exits_2(self, capsys):
+        # a DomainError raised by the library is bad input too
+        code, out, err = run(["tree", "cap", "--source", "3,2", "--target", "12,1025"], capsys)
+        assert code == 2
+        assert err == "error: target TreeNode(n=12, k=1025) is not strictly below the source\n"
+        assert out == ""
 
     def test_bad_node_string(self, capsys):
         code, _, err = run(
@@ -291,6 +315,16 @@ class TestCapacity:
         assert report["capacity"] == 0.0
         assert report["warnings"]
 
+    def test_condenser_sub_resolution_arc(self, tmp_path, capsys):
+        # an arc too short for its endpoint angles to differ is not the full circle
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps({"z": {"theta": 0.0, "depth": 0.5}, "arcs": [{"center_angle": 1.0, "length": 1e-18}]})
+        )
+        code, out, _ = run(["capacity", "condenser", str(spec)], capsys)
+        assert code == 0
+        assert json.loads(out)["capacity"] == pytest.approx(0.0730, abs=5e-4)
+
     def test_grid_writes_out_file(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(ANNULUS_SPEC))
@@ -313,6 +347,21 @@ class TestCapacity:
         report = json.loads(out_path.read_text())
         exact = 2.0 * math.pi / math.log(1.0 / 0.3)
         assert report["capacity"] == pytest.approx(exact, rel=0.2)
+
+    def test_plate_below_grid_resolution_exits_3(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "plate_inner": {"center": {"theta": 0, "depth": 1}, "radius": 0.5},
+                    "plate_outer": {"arcs": [{"center_angle": 3, "length": 0.001}]},
+                }
+            )
+        )
+        code, out, err = run(["capacity", "grid", str(spec), "--grid-r", "32", "--grid-t", "64"], capsys)
+        assert code == 3
+        assert err.startswith("numerical failure: outer plate #0 covers only 0 grid cells")
+        assert out == ""
 
     def test_missing_spec_file(self, capsys):
         code, _, err = run(["capacity", "arcs", "/nonexistent/spec.json"], capsys)

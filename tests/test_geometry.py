@@ -253,6 +253,20 @@ class TestHarmonicMeasure:
             image = geometry.arc_mobius_image(z, arc)
             assert geometry.harmonic_measure(z, arc) == pytest.approx(image.length, abs=1e-10)
 
+    @pytest.mark.parametrize("length", [1e-17, 1e-18])
+    def test_sub_resolution_arc_image(self, length):
+        # both endpoints of the arc round to its center angle; the image is
+        # the arc at phi_z(e^{ic}) scaled by |phi_z'(e^{ic})| = (1-|z|^2)/|e^{ic} - z|^2
+        z = DiscPoint(0.0, 0.5)
+        arc = Arc(1.0, length)
+        assert arc.start == arc.end
+        image = geometry.arc_mobius_image(z, arc)
+        zeta = cmath.exp(1j)
+        assert image.length == pytest.approx(length * 0.75 / abs(zeta - 0.5) ** 2, rel=1e-14)
+        assert image.length / length == pytest.approx(1.05679, abs=1e-5)
+        want = cmath.phase((0.5 - zeta) / (1.0 - 0.5 * zeta)) % (2.0 * math.pi)
+        assert image.center_angle == pytest.approx(want, abs=1e-15)
+
     def test_comparable_to_image_arc_of_deep_point(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
@@ -380,5 +394,7 @@ class TestArcSweepMatchesOracle:
         center = np.array([a.center_angle for a in arcs])
         half = np.array([a.half_width for a in arcs])
         i, j = geometry.intersecting_arc_pairs(center, half)
-        pairs = [(a, b) for a in range(len(arcs)) for b in range(a + 1, len(arcs)) if arcs[a].intersects(arcs[b])]
+        pairs = [
+            (a, b) for a in range(len(arcs)) for b in range(a + 1, len(arcs)) if geometry_oracle.arcs_meet(arcs[a], arcs[b])
+        ]
         assert list(zip(i.tolist(), j.tolist())) == pairs

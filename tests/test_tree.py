@@ -11,7 +11,7 @@ from disclab import cli, geometry, sequences, tree
 from disclab.errors import DomainError, InputError, NumericalError
 from disclab.tree import ROOT, CombSpec, TreeCondenser, TreeNode
 import geometry_oracle
-from tree_oracle import box, child_minus, dense_capacity, parent, path_union_size_walk
+from tree_oracle import ancestor_at, box, child_minus, dense_capacity, parent, path_union_size_walk
 
 
 def random_node(rng, max_level=12):
@@ -85,10 +85,18 @@ class TestStructure:
 
     def test_ancestor_and_is_below(self):
         node = TreeNode(6, 37)
-        anc = node.ancestor_at(3)
+        anc = ancestor_at(node, 3)
         assert node.is_below(anc)
         assert not anc.is_below(node)
-        assert node.ancestor_at(0) == ROOT
+        assert ancestor_at(node, 0) == ROOT
+
+    def test_is_below_matches_ancestor_oracle(self):
+        # a node's box contains itself, so every node is below itself
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            a = random_node(rng, 12)
+            for b in (random_node(rng, 12), ancestor_at(a, int(rng.integers(0, a.n + 1))), a):
+                assert a.is_below(b) == (a.n >= b.n and ancestor_at(a, b.n) == b)
 
     def test_embedding_values(self):
         node = TreeNode(5, 3)
@@ -119,8 +127,8 @@ class TestStructure:
         assert a.is_below(lca) and b.is_below(lca)
         child_levels = [lca.n + 1]
         for lev in child_levels:
-            deeper_a = a.ancestor_at(lev) if lev <= a.n else None
-            deeper_b = b.ancestor_at(lev) if lev <= b.n else None
+            deeper_a = ancestor_at(a, lev) if lev <= a.n else None
+            deeper_b = ancestor_at(b, lev) if lev <= b.n else None
             if deeper_a is not None and deeper_b is not None:
                 assert deeper_a != deeper_b
 
@@ -310,6 +318,13 @@ class TestScenario:
     def test_too_deep_comb_rejected(self):
         with pytest.raises(InputError):
             tree.counterexample_scenario(m_list=(4, 5, 8))
+
+    @pytest.mark.parametrize("m_list", [(4, 5), (6, 4)])
+    def test_overlapping_anchor_boxes_rejected(self, m_list):
+        # at eta 0.05 a level-16 anchor's expanded arc is 0.57 of the circle,
+        # so the quadrant-separated anchors' boxes meet
+        with pytest.raises(InputError, match="anchor placement infeasible: expanded boxes overlap"):
+            tree.counterexample_scenario(m_list, eta=0.05)
 
     def test_report_serializes(self):
         import json

@@ -4,8 +4,8 @@ The full path union is built by walking every target up to the source
 one parent at a time, and the grounded Laplacian on it is solved densely
 with unit conductances.  Nothing is compressed, so these share no code
 with the virtual tree that the library folds and solves on.  The tree
-steps that only tests take, parent and child_minus, are here too, with
-the structural box of a node.
+steps that only tests take, parent, child_minus and ancestor_at, are
+here too, with the structural box of a node.
 """
 
 import math
@@ -22,6 +22,15 @@ def parent(node: TreeNode) -> TreeNode:
     if node.n == 0:
         raise DomainError("the root has no parent")
     return TreeNode(node.n - 1, (node.k + 1) // 2)
+
+
+def ancestor_at(node: TreeNode, level: int) -> TreeNode:
+    """The ancestor at level, one parent at a time."""
+    if not 0 <= level <= node.n:
+        raise DomainError(f"no ancestor at level {level} for level-{node.n} node")
+    while node.n > level:
+        node = parent(node)
+    return node
 
 
 def child_minus(node: TreeNode) -> TreeNode:
