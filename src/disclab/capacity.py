@@ -78,7 +78,9 @@ from .errors import DomainError, NumericalError, ResolutionError
 from .geometry import Arc, CarlesonBox, DiscPoint, HyperbolicDisc
 
 # Calibration of C(E) = CAP_SCALE / (energy + CAP_SHIFT) against the grid
-# value of cap_D(Delta_1(0), I) on single arcs (see scripts/calibrate.py).
+# value of cap_D(Delta_1(0), I) on single arcs.
+# The constants are frozen, not refitted; the exact kernel of the annulus
+# Delta_1(0) is to replace the map (direction 1 of ROADMAP.md).
 # The denominator floor pins C at the grid value for the full circle so
 # the formula stays positive and monotone for large arc unions.
 CAP_SCALE = 2.904
@@ -87,9 +89,10 @@ CAP_DEN_FLOOR = CAP_SCALE / 22.9
 
 RIDGE_FACTOR = 1e-10
 
-# quadrature nodes per arc: the default, and the fewest the equilibrium solve accepts
-DEFAULT_QUAD_NODES = 24
-MIN_QUAD_NODES = 8
+# quadrature nodes per arc: the one rule every fast-route number is
+# computed with.  Under the frozen map above each node count gives its
+# own capacity, with no reference to prefer one, so it is no setting.
+QUAD_NODES = 24
 
 # rows per strip of the equilibrium energy matrix; temporaries stay O(n * block)
 _KERNEL_BLOCK = 64
@@ -121,14 +124,14 @@ class CondenserResult:
 
 
 @functools.cache
-def _unit_arc_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes on [0, 1] and their cell widths, built once per node count.
+def _unit_arc_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """The QUAD_NODES nodes on [0, 1] and their cell widths, built once.
 
     The t = sin^2 substitution of the Gauss-Legendre nodes clusters them
     at the endpoints like the inverse-square-root blow-up of the
     equilibrium density.  The arrays are shared, so they are read-only.
     """
-    x = np.polynomial.legendre.leggauss(n)[0]
+    x = np.polynomial.legendre.leggauss(QUAD_NODES)[0]
     tau = 0.5 * (x + 1.0)
     t = np.sin(0.5 * math.pi * tau) ** 2
     cells = np.diff(np.concatenate(([0.0], 0.5 * (t[1:] + t[:-1]), [1.0])))
@@ -137,9 +140,9 @@ def _unit_arc_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return t, cells
 
 
-def _arc_nodes(arc: Arc, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _arc_nodes(arc: Arc) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature angles on one arc plus cell widths (radians)."""
-    t, cells = _unit_arc_nodes(n)
+    t, cells = _unit_arc_nodes()
     span = 2.0 * arc.half_width
     return arc.start + t * span, cells * span
 
@@ -191,7 +194,7 @@ def _ridge_condition(k: np.ndarray, ridged: np.ndarray) -> float:
     return float(np.linalg.cond(full))
 
 
-def equilibrium_measure(arcs: list[Arc], quad_nodes_per_arc: int = DEFAULT_QUAD_NODES) -> EquilibriumMeasure:
+def equilibrium_measure(arcs: list[Arc]) -> EquilibriumMeasure:
     """Equilibrium measure of a finite union of disjoint arcs.
 
     The unit-mass measure with constant potential on the nodes minimises
@@ -208,12 +211,10 @@ def equilibrium_measure(arcs: list[Arc], quad_nodes_per_arc: int = DEFAULT_QUAD_
     lower triangle with the ridged diagonal, solved again.  The energy
     w^T K w is summed from the lower triangle and the saved diagonal.
     """
-    if quad_nodes_per_arc < MIN_QUAD_NODES:
-        raise DomainError(f"need >= {MIN_QUAD_NODES} nodes per arc, got {quad_nodes_per_arc}")
     arcs = geometry.merge_arcs(list(arcs))
     if not arcs:
         raise DomainError("empty arc family")
-    parts = [_arc_nodes(a, quad_nodes_per_arc) for a in arcs]
+    parts = [_arc_nodes(a) for a in arcs]
     # arcs shorter than the float resolution of absolute angles collapse
     # to one node carrying the whole width; the point-mass energy
     # log(2/width) is then the right self-interaction
@@ -262,16 +263,16 @@ def equilibrium_measure(arcs: list[Arc], quad_nodes_per_arc: int = DEFAULT_QUAD_
     return EquilibriumMeasure(angles, w, energy)
 
 
-def log_capacity(arcs: list[Arc], quad_nodes_per_arc: int = DEFAULT_QUAD_NODES) -> float:
+def log_capacity(arcs: list[Arc]) -> float:
     """C(E) = cap_D(Delta_1(0), E) for a finite union of arcs; 0 if empty."""
     arcs = list(arcs)
     if not arcs:
         return 0.0
-    mu = equilibrium_measure(arcs, quad_nodes_per_arc)
+    mu = equilibrium_measure(arcs)
     return CAP_SCALE / max(mu.energy + CAP_SHIFT, CAP_DEN_FLOOR)
 
 
-def condenser_capacity(z: DiscPoint, targets: list, quad_nodes_per_arc: int = DEFAULT_QUAD_NODES) -> CondenserResult:
+def condenser_capacity(z: DiscPoint, targets: list) -> CondenserResult:
     """cap_D(Delta_1(z), targets) for points and arcs via Mobius transfer to arcs at the origin.
 
     A point stands for the arc of its image; the reduction is a
@@ -303,7 +304,7 @@ def condenser_capacity(z: DiscPoint, targets: list, quad_nodes_per_arc: int = DE
         if t.depth > z.depth / 2.0:
             warnings.append("target depth exceeds half the base depth; comparability not guaranteed")
         arcs.append(Arc(image.theta, image.depth))
-    value = log_capacity(arcs, quad_nodes_per_arc)
+    value = log_capacity(arcs)
     return CondenserResult(value, tuple(dict.fromkeys(warnings)))
 
 
@@ -597,12 +598,13 @@ class PolarGrid:
         c + G sigma holds it at c.  When it is free, being harmonic there
         means the charges sum to 0, which fixes c.  The field then comes
         from one real FFT in angle, the tridiagonal solves over the rings
-        and one inverse FFT.
+        and one inverse FFT.  With only the centre fixed the layer is
+        empty, and so are the capacitance matrix and the charges: every
+        node takes the centre's value.  A free centre has a layer, as
+        solve refuses a grid with no node fixed.
         """
         import scipy.linalg
 
-        if not len(layer):  # only the centre is fixed: every free node takes its value
-            return np.full(np.count_nonzero(free), u[0])
         with _blas.single_thread():
             try:
                 factor = scipy.linalg.cho_factor(self._green(layer), check_finite=False)
@@ -651,6 +653,8 @@ class PolarGrid:
         if parts is not None:
             return u, self._parts_solve(u, mask0, mask1, parts)
         free = ~(mask0 | mask1)
+        if free.all():
+            raise DomainError("no node is fixed; a condenser solve needs a plate")
         if free.any():
             u[free] = self._capacitance_solve(u, free, self._layer(free))
         lu, energy = self._flows(u)

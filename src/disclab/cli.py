@@ -38,24 +38,12 @@ def _number(text: str) -> float:
     raise argparse.ArgumentTypeError(f"not a number: {text!r}")
 
 
-def _quad(text: str) -> int:
-    """Quadrature nodes per arc; fewer than the equilibrium solve accepts are refused."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < capacity.MIN_QUAD_NODES:
-        raise argparse.ArgumentTypeError(f"need >= {capacity.MIN_QUAD_NODES} nodes per arc, got {value}")
-    return value
-
-
 # Flags by name.  Each subcommand takes only the flags it reads.
 _FLAGS = {
     "gamma": dict(type=_number, default=sequences.DEFAULT_GAMMA),
     "eta": dict(type=_number, default=sequences.DEFAULT_ETA),
     "delta": dict(type=_number, default=sequences.DEFAULT_DELTA),
     "budget": dict(type=_number, default=sequences.COMPARABILITY_BUDGET),
-    "quad": dict(type=_quad, default=capacity.DEFAULT_QUAD_NODES, dest="quad_nodes"),
     "grid-r": dict(type=int, default=96),
     "grid-t": dict(type=int, default=256),
     "seed": dict(type=int, default=0),
@@ -65,7 +53,7 @@ _FLAGS = {
 }
 
 # the parsed values a report echoes in its "config" block, in this order
-_CONFIG_KEYS = ("gamma", "eta", "delta", "budget", "quad_nodes", "grid_r", "grid_t", "seed")
+_CONFIG_KEYS = ("gamma", "eta", "delta", "budget", "grid_r", "grid_t", "seed")
 
 
 def _add_flags(p, names: str):
@@ -122,18 +110,20 @@ def cmd_check(args) -> int:
     if args.condition == "ws":
         report = sequences.check_weak_separation(seq, args.delta)
     elif args.condition == "cc":
-        report = sequences.check_capacitary_condition(seq, args.gamma, args.quad_nodes, args.budget)
+        report = sequences.check_capacitary_condition(seq, args.gamma, args.budget)
     elif args.condition == "cm":
         spec = sequences.read_json(args.arcs)
         with _parsing(f"arc families in {args.arcs} (want a list of arc lists under 'families')"):
             families = [_parse_arcs(f) for f in spec["families"]]
-        report = sequences.check_carleson(seq, families, args.quad_nodes, args.budget)
+        report = sequences.check_carleson(seq, families, args.budget)
     else:  # theorem-d
         report = sequences.check_theorem_d(seq, args.gamma, args.budget)
     if args.csv:
         rows = ([rec["index"], rec["lhs"], rec["rhs"], rec["ratio"]] for rec in report.records)
         _write_csv(args.csv, ["index", "lhs", "rhs", "ratio"], rows)
     _emit(report.to_json(), args)
+    if report.passed is None:  # a solve failed; the warnings name where
+        return EXIT_NUMERICAL
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -182,10 +172,14 @@ def cmd_capacity(args) -> int:
     with _parsing(f"{args.cap_cmd} spec {args.spec}"):
         if args.cap_cmd == "grid":
             inner, outer = spec["plate_inner"], spec.get("plate_outer", {})
-            disc = geometry.HyperbolicDisc(geometry.point_from_json(inner["center"]), float(inner["radius"]))
+            disc = geometry.HyperbolicDisc(
+                geometry.point_from_json(inner["center"]), geometry.number_from_json(inner["radius"])
+            )
             plates = _parse_arcs(outer.get("arcs", []))
             plates += [
-                geometry.CarlesonBox(geometry.arc_from_json(b["base_arc"]), float(b["inner_radius"]))
+                geometry.CarlesonBox(
+                    geometry.arc_from_json(b["base_arc"]), geometry.number_from_json(b["inner_radius"])
+                )
                 for b in outer.get("boxes", [])
             ]
         else:
@@ -194,11 +188,11 @@ def cmd_capacity(args) -> int:
                 points = [geometry.point_from_json(p) for p in spec.get("points", [])]
             arcs = _parse_arcs(spec.get("arcs", []))
     if args.cap_cmd == "arcs":
-        value = capacity.log_capacity(arcs, args.quad_nodes)
+        value = capacity.log_capacity(arcs)
         _emit({"capacity": value, "arc_count": len(arcs)}, args)
         return EXIT_PASS
     if args.cap_cmd == "condenser":
-        result = capacity.condenser_capacity(z, points + arcs, args.quad_nodes)
+        result = capacity.condenser_capacity(z, points + arcs)
         _emit({"capacity": result.value, "warnings": list(result.warnings)}, args)
         return EXIT_PASS
     # grid
@@ -230,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     check_sub = p_check.add_subparsers(dest="condition", required=True)
     for name, flags in (
         ("ws", "delta csv out"),
-        ("cc", "gamma budget quad csv out"),
-        ("cm", "arcs budget quad csv out"),
+        ("cc", "gamma budget csv out"),
+        ("cm", "arcs budget csv out"),
         ("mass", "out"),
         ("theorem-d", "gamma budget csv out"),
     ):
@@ -264,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_capc = sub.add_parser("capacity", help="capacity of arc unions and condensers")
     cap_sub = p_capc.add_subparsers(dest="cap_cmd", required=True)
-    for name, flags in (("arcs", "quad out"), ("condenser", "quad out"), ("grid", "grid-r grid-t csv out")):
+    for name, flags in (("arcs", "out"), ("condenser", "out"), ("grid", "grid-r grid-t csv out")):
         p = cap_sub.add_parser(name)
         p.add_argument("spec", help="spec JSON file")
         _add_flags(p, flags)

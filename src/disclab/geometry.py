@@ -14,6 +14,8 @@ elementwise test, boxes_contain, and arc meeting one sweep,
 intersecting_arc_pairs, over whose pairs arc unions are grouped.
 point_from_json and arc_from_json parse the input forms of points and
 arcs; of the point forms only {"theta", "depth"} is exact for deep points.
+number_from_json reads every number of those forms and of the condenser
+specs, and refuses a boolean.
 """
 
 from __future__ import annotations
@@ -242,13 +244,20 @@ def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
+def number_from_json(value) -> float:
+    """A JSON number as a float; a boolean, which float() reads as 0 or 1, is a TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"want a number, got {str(value).lower()}")
+    return float(value)
+
+
 def point_from_json(d: dict) -> DiscPoint:
     if "re" in d and "im" in d:
-        return DiscPoint.from_xy(float(d["re"]), float(d["im"]))
+        return DiscPoint.from_xy(number_from_json(d["re"]), number_from_json(d["im"]))
     if "depth" in d:
-        return DiscPoint(float(d.get("theta", 0.0)), float(d["depth"]))
+        return DiscPoint(number_from_json(d.get("theta", 0.0)), number_from_json(d["depth"]))
     if "r" in d and "theta" in d:
-        return DiscPoint.from_polar(float(d["r"]), float(d["theta"]))
+        return DiscPoint.from_polar(number_from_json(d["r"]), number_from_json(d["theta"]))
     raise InputError(f"cannot parse point: {d!r}")
 
 
@@ -272,6 +281,8 @@ class Arc:
     def __post_init__(self):
         if not (0.0 < self.length <= 1.0):
             raise DomainError(f"arc length out of (0,1]: {self.length}")
+        if not math.isfinite(self.center_angle):
+            raise DomainError(f"arc center angle not finite: {self.center_angle}")
         object.__setattr__(self, "center_angle", _wrap_angle(self.center_angle))
 
     @property
@@ -292,7 +303,7 @@ class Arc:
 
 
 def arc_from_json(d: dict) -> Arc:
-    return Arc(float(d["center_angle"]), float(d["length"]))
+    return Arc(number_from_json(d["center_angle"]), number_from_json(d["length"]))
 
 
 def merge_arcs(arcs: list[Arc]) -> list[Arc]:
@@ -403,19 +414,31 @@ def _boundary_mobius_angle(z: DiscPoint, t: float) -> float:
 def arc_mobius_image(z: DiscPoint, arc: Arc) -> Arc:
     """Image of a boundary arc under phi_z (an arc again, orientation kept).
 
-    The image runs counterclockwise between the endpoint images.  Where
-    those round to one angle, the arc is scaled by |phi_z'| at its center
-    e^{ic}, which is (1-|z|^2)/|e^{ic} - z|^2.
+    Of two forms, the one with the smaller relative error.  The endpoint
+    image runs counterclockwise between the images of the endpoints; its
+    error is the rounding of those two angles, about 4e-15, over the
+    image's span.  The derivative image is the arc at phi_z(e^{ic}), for
+    the center e^{ic}, of the length times |phi_z'(e^{ic})| =
+    (1-|z|^2)/|e^{ic} - z|^2; its error is about (pi length)^2 /
+    |e^{ic} - z|^2.  It also serves where the endpoint images are equal.
+    The rule matters for short arcs: their endpoint images can round into
+    reverse order, and the span between them is then nearly the circle.
     """
     if arc.is_full_circle():
         return Arc(0.0, 1.0)
-    a = _boundary_mobius_angle(z, arc.start)
-    b = _boundary_mobius_angle(z, arc.end)
-    if a == b:
-        stretch = z.depth * (2.0 - z.depth) / abs(cmath.exp(1j * arc.center_angle) - z.z) ** 2
-        return Arc(_boundary_mobius_angle(z, arc.center_angle), arc.length * stretch)
-    span = _wrap_angle(b - a)
-    return Arc(a + 0.5 * span, span / TWO_PI)
+    # |e^{ic} - z|^2 = depth^2 + 4|z| sin^2((c - theta)/2), free of cancellation
+    dist_sq = z.depth**2 + 4.0 * z.r * math.sin(0.5 * (arc.center_angle - z.theta)) ** 2
+    scale = z.depth * (2.0 - z.depth)  # 1 - |z|^2
+    # the endpoint image unless the derivative one errs less, that is unless
+    # half_width^2 / dist_sq < 4e-15 dist_sq / (2 pi length scale), multiplied
+    # out so that nothing divides by 0
+    if arc.half_width**2 * TWO_PI * arc.length * scale >= 4e-15 * dist_sq**2:
+        a = _boundary_mobius_angle(z, arc.start)
+        b = _boundary_mobius_angle(z, arc.end)
+        if a != b:
+            span = _wrap_angle(b - a)
+            return Arc(a + 0.5 * span, span / TWO_PI)
+    return Arc(_boundary_mobius_angle(z, arc.center_angle), arc.length * scale / dist_sq)
 
 
 @dataclass(frozen=True)
@@ -472,8 +495,8 @@ class HyperbolicDisc:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise DomainError(f"hyperbolic radius must be > 0: {self.radius}")
+        if not (0.0 < self.radius < math.inf):
+            raise DomainError(f"hyperbolic radius must be finite and > 0: {self.radius}")
 
     def euclidean(self) -> tuple[complex, float]:
         """(center, radius) of the Euclidean disc this set equals."""

@@ -90,14 +90,17 @@ class CheckReport:
     """Per-point ledger of a condition check.
 
     Each record carries (index, lhs, rhs, ratio); the check passes iff
-    sup_ratio stays within the budget stored in params["K"].
+    sup_ratio stays within the budget stored in params["K"].  A NaN
+    ratio marks a point whose solve failed: the sup and the witness come
+    from the other points, and passed is None, as the verdict is not
+    determined.
     """
 
     condition_name: str
     records: list
     sup_ratio: float
     witness_index: int | None
-    passed: bool
+    passed: bool | None
     params: dict
     warnings: tuple = ()
 
@@ -121,7 +124,8 @@ def _finish(name, records, params, budget, warnings=()):
         if not math.isnan(ratio) and (witness is None or ratio > sup):
             sup = ratio
             witness = rec["index"]
-    return CheckReport(name, records, sup, witness, sup <= budget, params, tuple(warnings))
+    passed = None if any(math.isnan(rec["ratio"]) for rec in records) else sup <= budget
+    return CheckReport(name, records, sup, witness, passed, params, tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -193,8 +197,6 @@ def restricted_vicinity(seq: Sequence, i: int, gamma: float = DEFAULT_GAMMA) -> 
     kept = np.ones(len(vic), dtype=bool)
     widest = vic[np.argsort(-lists.length[vic], kind="stable")]
     for a in range(0, len(vic), _PAIR_BLOCK):
-        if not kept.any():
-            break
         k = widest[a : a + _PAIR_BLOCK]
         j = vic[kept, None]
         radius = np.where(lists.length[k] >= 1.0, 0.0, 1.0 - lists.length[k])
@@ -246,7 +248,6 @@ def check_weak_separation(seq: Sequence, delta: float = DEFAULT_DELTA) -> CheckR
 def check_capacitary_condition(
     seq: Sequence,
     gamma: float = DEFAULT_GAMMA,
-    quad_nodes_per_arc: int = capacity.DEFAULT_QUAD_NODES,
     budget: float = COMPARABILITY_BUDGET,
 ) -> CheckReport:
     """Capacity of the Mobius-pulled vicinity arcs against 1/d(z_i)."""
@@ -263,20 +264,19 @@ def check_capacitary_condition(
             continue
         try:
             arcs = [geometry.boundary_arc(p) for p in pts[i].mobius(pts[vic]).points()]
-            lhs = capacity.log_capacity(arcs, quad_nodes_per_arc)
+            lhs = capacity.log_capacity(arcs)
         except (NumericalError, DomainError) as exc:
             warnings.append(f"capacity solver failed at index {i}: {exc}")
             records.append({"index": i, "lhs": math.nan, "rhs": 1.0 / d_i, "ratio": math.nan})
             continue
         records.append({"index": i, "lhs": lhs, "rhs": 1.0 / d_i, "ratio": lhs * d_i})
-    params = {"gamma": gamma, "quad_nodes_per_arc": quad_nodes_per_arc, "K": budget}
+    params = {"gamma": gamma, "quad_nodes_per_arc": capacity.QUAD_NODES, "K": budget}
     return _finish("capacitary_condition", records, params, budget, warnings)
 
 
 def check_carleson(
     seq: Sequence,
     test_families: list,
-    quad_nodes_per_arc: int = capacity.DEFAULT_QUAD_NODES,
     budget: float = COMPARABILITY_BUDGET,
 ) -> CheckReport:
     """Mass-in-box against capacity over the supplied arc families only.
@@ -297,11 +297,11 @@ def check_carleson(
         )
         # Python's sum in point order, as the scalar loop added the masses
         mass = sum((1.0 / d for d, hit in zip(seq.norms, inside.any(axis=1).tolist()) if hit), 0.0)
-        cap_e = capacity.log_capacity(arcs, quad_nodes_per_arc)
+        cap_e = capacity.log_capacity(arcs)
         # positive mass needs a point over a merged arc, so cap_e > 0 then
         ratio = mass / cap_e if mass else 0.0
         records.append({"index": fi, "lhs": mass, "rhs": cap_e, "ratio": ratio})
-    params = {"quad_nodes_per_arc": quad_nodes_per_arc, "K": budget, "families": len(test_families)}
+    params = {"quad_nodes_per_arc": capacity.QUAD_NODES, "K": budget, "families": len(test_families)}
     return _finish("carleson_measure", records, params, budget)
 
 

@@ -24,7 +24,7 @@ def energy_matrix(angles: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return k
 
 
-def nodes(arcs, quad_nodes_per_arc: int = 24) -> tuple[np.ndarray, np.ndarray]:
+def nodes(arcs) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature angles and cell widths of the merged family."""
     arcs = geometry.merge_arcs(list(arcs))
     if not arcs:
@@ -32,15 +32,15 @@ def nodes(arcs, quad_nodes_per_arc: int = 24) -> tuple[np.ndarray, np.ndarray]:
     parts = [
         (np.array([a.center_angle]), np.array([2.0 * a.half_width]))
         if a.length < 1e-12
-        else capacity._arc_nodes(a, quad_nodes_per_arc)
+        else capacity._arc_nodes(a)
         for a in arcs
     ]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-def equilibrium_measure(arcs, quad_nodes_per_arc: int = 24) -> tuple[np.ndarray, np.ndarray, float, int]:
+def equilibrium_measure(arcs) -> tuple[np.ndarray, np.ndarray, float, int]:
     """(angles, weights, energy, sweeps) by the bordered KKT active-set solve."""
-    angles, widths = nodes(arcs, quad_nodes_per_arc)
+    angles, widths = nodes(arcs)
     k = energy_matrix(angles, widths)
     n = len(angles)
     k_reg = k + (capacity.RIDGE_FACTOR * np.trace(k) / n) * np.eye(n)

@@ -21,38 +21,34 @@ def single_arc_energy(length):
 
 class TestEquilibriumMeasure:
     def test_symmetric_on_single_arc(self):
-        mu = capacity.equilibrium_measure([Arc(0.0, 0.25)], 24)
+        mu = capacity.equilibrium_measure([Arc(0.0, 0.25)])
         assert np.allclose(mu.weights, mu.weights[::-1], atol=1e-9)
 
     def test_antipodal_arcs_split_mass(self):
-        mu = capacity.equilibrium_measure([Arc(0.0, 0.1), Arc(math.pi, 0.1)], 24)
+        mu = capacity.equilibrium_measure([Arc(0.0, 0.1), Arc(math.pi, 0.1)])
         half = len(mu.nodes) // 2
         assert mu.weights[:half].sum() == pytest.approx(0.5, abs=1e-6)
 
     @pytest.mark.parametrize("k", [3, 5, 8])
     def test_energy_matches_exact_single_arc(self, k):
         ell = 2.0**-k
-        mu = capacity.equilibrium_measure([Arc(1.0, ell)], 32)
+        mu = capacity.equilibrium_measure([Arc(1.0, ell)])
         assert mu.energy == pytest.approx(single_arc_energy(ell), rel=0.02)
 
     def test_small_arc_energy_scale(self):
-        mu = capacity.equilibrium_measure([Arc(0.0, 2.0**-8)], 24)
+        mu = capacity.equilibrium_measure([Arc(0.0, 2.0**-8)])
         assert 0.05 <= mu.energy / math.log(2.0**8) <= 20.0
-
-    def test_too_few_nodes_rejected(self):
-        with pytest.raises(DomainError):
-            capacity.equilibrium_measure([Arc(0.0, 0.1)], 4)
 
     def test_tiny_arcs_use_point_masses(self):
         arcs = [Arc(1.0, 2.0**-60), Arc(2.0, 2.0**-64)]
-        mu = capacity.equilibrium_measure(arcs, 24)
+        mu = capacity.equilibrium_measure(arcs)
         assert len(mu.nodes) == 2
         assert math.isfinite(mu.energy) and mu.energy > 0
 
 
-def assert_matches_oracle(arcs, quad_nodes_per_arc=24):
-    mu = capacity.equilibrium_measure(arcs, quad_nodes_per_arc)
-    nodes, weights, energy, _ = equilibrium_oracle.equilibrium_measure(arcs, quad_nodes_per_arc)
+def assert_matches_oracle(arcs):
+    mu = capacity.equilibrium_measure(arcs)
+    nodes, weights, energy, _ = equilibrium_oracle.equilibrium_measure(arcs)
     assert np.array_equal(mu.nodes, nodes)
     assert mu.energy == pytest.approx(energy, rel=1e-12)
     assert np.abs(mu.weights - weights).max() <= 1e-12
@@ -126,10 +122,10 @@ class TestEquilibriumErrors:
 
 
 class TestArcNodes:
-    @pytest.mark.parametrize("n", [8, 24, 61])
+    @pytest.mark.parametrize("n", [capacity.QUAD_NODES])
     def test_cached_rule_matches_fresh_build(self, n):
-        t, cells = capacity._unit_arc_nodes(n)
-        assert capacity._unit_arc_nodes(n)[0] is t
+        t, cells = capacity._unit_arc_nodes()
+        assert capacity._unit_arc_nodes()[0] is t
         for shared in (t, cells):
             with pytest.raises(ValueError):
                 shared[0] = 0.0
@@ -138,7 +134,7 @@ class TestArcNodes:
         bounds = np.concatenate(([0.0], 0.5 * (fresh[1:] + fresh[:-1]), [1.0]))
         arc = Arc(2.5, 0.03)
         span = 2.0 * arc.half_width
-        nodes, widths = capacity._arc_nodes(arc, n)
+        nodes, widths = capacity._arc_nodes(arc)
         assert np.array_equal(nodes, arc.start + fresh * span)
         assert np.array_equal(widths, np.diff(bounds) * span)
 
@@ -275,7 +271,7 @@ class TestPolarGrid:
     def test_fast_route_calibrated_to_grid(self):
         for k in (5, 7):
             arc = Arc(0.0, 2.0**-k)
-            fast = capacity.log_capacity([arc], 32)
+            fast = capacity.log_capacity([arc])
             spec = capacity.CondenserSpec(geometry.unit_hyperbolic_disc(ORIGIN), [arc])
             grid = capacity.grid_condenser_capacity(spec, (96, 512)).energy
             assert fast == pytest.approx(grid, rel=0.15)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from disclab import capacity, cli, sequences
+from disclab import cli, sequences
 from disclab.geometry import DiscPoint
 
 
@@ -113,6 +113,22 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["records"]
 
+    def test_cc_failed_solve_exits_3(self, tmp_path, capsys):
+        # the second of two coincident points maps to the origin under the
+        # first's Mobius map, where boundary_arc is undefined: that solve
+        # fails, so the check cannot pass on the other point's ratio alone
+        seq = write_sequence(tmp_path / "seq.json", [DiscPoint(1.0, 0.01)] * 2)
+        out_path = tmp_path / "report.json"
+        code, out, err = run(["check", "cc", str(seq), "--out", str(out_path)], capsys)
+        assert code == 3
+        assert err == ""
+        assert out_path.read_text() == out
+        report = json.loads(out)
+        assert report["pass"] is None
+        assert math.isnan(report["records"][0]["ratio"]) and report["records"][1]["ratio"] == 0.0
+        assert (report["sup_ratio"], report["witness_index"]) == (0.0, 1)
+        assert any("failed at index 0" in w for w in report["warnings"])
+
     def test_config_echoed(self, good_sequence, tmp_path, capsys):
         # every subcommand prints plain JSON that echoes exactly the parameters it reads
         arcs = tmp_path / "arcs.json"
@@ -129,13 +145,10 @@ class TestCheck:
         cases = [
             (["check", "ws", seq, "--delta", "0.05"], {"delta": 0.05}),
             (
-                ["check", "cc", seq, "--quad", "16"],
-                {"gamma": sequences.DEFAULT_GAMMA, "budget": sequences.COMPARABILITY_BUDGET, "quad_nodes": 16},
+                ["check", "cc", seq, "--gamma", "0.5"],
+                {"gamma": 0.5, "budget": sequences.COMPARABILITY_BUDGET},
             ),
-            (
-                ["check", "cm", seq, "--arcs", str(families), "--budget", "8"],
-                {"budget": 8.0, "quad_nodes": 24},
-            ),
+            (["check", "cm", seq, "--arcs", str(families), "--budget", "8"], {"budget": 8.0}),
             (["check", "mass", seq], {}),
             (["check", "theorem-d", seq, "--gamma", "0.5"], {"gamma": 0.5, "budget": sequences.COMPARABILITY_BUDGET}),
             (["tree", "cap", "--source", "3,2", "--target", "10,256"], {}),
@@ -145,8 +158,8 @@ class TestCheck:
                 {"gamma": sequences.DEFAULT_GAMMA, "eta": sequences.DEFAULT_ETA, "seed": 7},
             ),
             (["tree", "distcheck", "--n-max", "5"], {}),
-            (["capacity", "arcs", str(arcs), "--quad", "16"], {"quad_nodes": 16}),
-            (["capacity", "condenser", str(condenser)], {"quad_nodes": 24}),
+            (["capacity", "arcs", str(arcs)], {}),
+            (["capacity", "condenser", str(condenser)], {}),
             (["capacity", "grid", str(grid), "--grid-r", "32", "--grid-t", "64"], {"grid_r": 32, "grid_t": 64}),
         ]
         # a new subcommand needs a case here
@@ -163,6 +176,8 @@ class TestFlags:
         [
             ["check", "ws", "seq.json", "--grid-r", "32"],
             ["check", "cc", "seq.json", "--seed", "1"],
+            ["check", "cc", "seq.json", "--quad", "16"],
+            ["check", "cm", "seq.json", "--arcs", "arcs.json", "--quad", "16"],
             ["check", "ws", "seq.json", "--arcs", "arcs.json"],
             ["check", "mass", "seq.json", "--gamma", "0.3"],
             ["check", "mass", "seq.json", "--csv", "mass.csv"],
@@ -172,7 +187,9 @@ class TestFlags:
             ["tree", "counterexample", "--delta", "0.1"],
             ["tree", "distcheck", "--csv", "d.csv"],
             ["capacity", "arcs", "spec.json", "--beta", "0.1"],
+            ["capacity", "arcs", "spec.json", "--quad", "16"],
             ["capacity", "condenser", "spec.json", "--grid-t", "64"],
+            ["capacity", "condenser", "spec.json", "--quad", "16"],
             ["capacity", "grid", "spec.json", "--format", "json"],
         ],
         ids=lambda argv: "-".join(argv[:2] + [[a for a in argv if a.startswith("--")][-1][2:]]),
@@ -195,28 +212,13 @@ class TestFlags:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "argv",
-        [["check", "cc", "seq.json", "--quad", "0"], ["capacity", "condenser", "spec.json", "--quad", "7"]],
-        ids=["check-cc-0", "capacity-condenser-7"],
-    )
-    def test_quad_below_minimum_rejected(self, argv, capsys):
-        # too few nodes give a NaN capacity, so the count is refused before any file is read
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert f"need >= {capacity.MIN_QUAD_NODES} nodes per arc" in captured.err
-        assert captured.out == ""
-
-    @pytest.mark.parametrize(
         "argv, message",
         [
             (["check", "ws", "seq.json", "--delta", "nan"], "not a number: 'nan'"),
             (["check", "cc", "seq.json", "--budget", "nan"], "not a number: 'nan'"),
             (["check", "cc", "seq.json", "--gamma", "x"], "not a number: 'x'"),
-            (["check", "cc", "seq.json", "--quad", "x"], "not an integer: 'x'"),
         ],
-        ids=["ws-delta", "cc-budget", "cc-gamma-x", "cc-quad-x"],
+        ids=["ws-delta", "cc-budget", "cc-gamma-x"],
     )
     def test_nan_rejected(self, argv, message, capsys):
         # NaN compares false, so a check against it would fail (exit 1) instead of refusing the input
@@ -226,13 +228,12 @@ class TestFlags:
         err = capsys.readouterr().err
         assert message in err
         # the message names the flag's meaning, not the parser's private type function
-        assert "_number" not in err and "_quad" not in err
+        assert "_number" not in err
 
     def test_benchmark_invocations_parse(self):
         parser = cli.build_parser()
         for condition in ("ws", "cc", "theorem-d", "mass"):
             assert parser.parse_args(["check", condition, "seq.json"]).condition == condition
-        assert parser.parse_args(["capacity", "arcs", "arcs.json"]).quad_nodes == 24
         args = parser.parse_args(["capacity", "grid", "grid.json", "--grid-r", "96", "--grid-t", "256"])
         assert (args.grid_r, args.grid_t) == (96, 256)
         assert parser.parse_args(["tree", "counterexample"]).m == [4, 5, 6]
@@ -432,6 +433,45 @@ def test_malformed_input_exits_2(argv, good_sequence, tmp_path, capsys, request)
     assert err.count(named[-1]) == (request.node.callspec.id not in NAMES_NO_FILE)
     assert all(err.count(path) <= 1 for path in named)
     # every file is written before the report is printed, so a failed run prints none
+    assert out == ""
+
+
+NAN_ARC = {"center_angle": math.nan, "length": 0.1}
+
+
+def grid_spec(radius):
+    return {"plate_inner": {"center": {"theta": 0.0, "depth": 1.0}, "radius": radius}, "plate_outer": {}}
+
+
+@pytest.mark.parametrize(
+    "argv, spec, message",
+    [
+        (["capacity", "arcs"], {"arcs": [NAN_ARC]}, "arc center angle not finite: nan"),
+        (["check", "cm", "{seq}", "--arcs"], {"families": [[NAN_ARC]]}, "arc center angle not finite: nan"),
+        (["capacity", "grid"], grid_spec(math.nan), "hyperbolic radius must be finite and > 0: nan"),
+        (["capacity", "grid"], grid_spec(math.inf), "hyperbolic radius must be finite and > 0: inf"),
+        (["capacity", "grid"], grid_spec(True), "want a number, got true"),
+        (["check", "ws"], {"points": [{"theta": True, "depth": 0.5}, {"theta": 2.0, "depth": 0.5}]}, "got true"),
+        (["capacity", "arcs"], {"arcs": [{"center_angle": 0.0, "length": False}]}, "want a number, got false"),
+    ],
+    ids=[
+        "arcs-nan-center",
+        "cm-nan-center",
+        "grid-nan-radius",
+        "grid-infinite-radius",
+        "grid-boolean-radius",
+        "sequence-boolean-theta",
+        "arcs-boolean-length",
+    ],
+)
+def test_non_finite_or_boolean_value_exits_2(argv, spec, message, good_sequence, tmp_path, capsys):
+    # Python's json reads NaN, Infinity and booleans; none is a value any spec can hold
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run([a.format(seq=good_sequence) for a in argv] + [str(path)], capsys)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
     assert out == ""
 
 

@@ -267,6 +267,40 @@ class TestHarmonicMeasure:
         want = cmath.phase((0.5 - zeta) / (1.0 - 0.5 * zeta)) % (2.0 * math.pi)
         assert image.center_angle == pytest.approx(want, abs=1e-15)
 
+    def test_reversed_endpoint_images(self):
+        # the endpoint images differ by -8.3e-17, so their span wraps to the
+        # whole circle; the image is 1.2834723241355027e-22 long (mpmath, 60 digits)
+        z = DiscPoint(0.17793774164533058, 9.868842363928766e-08)
+        image = geometry.arc_mobius_image(z, Arc(4.066411630084061, 2.2548729330228962e-15))
+        assert image.length == pytest.approx(1.2834723241355027e-22, rel=1e-5)
+
+    def test_image_length_matches_mpmath(self):
+        # the endpoint images, or the derivative one, against both endpoint
+        # images at 60 digits; depths from 1e-8, where 60 digits hold z exactly
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(1)
+        with mpmath.workdps(60):
+            for _ in range(1000):
+                z = DiscPoint(rng.uniform(0, 2 * math.pi), math.exp(rng.uniform(math.log(1e-8), 0.0)))
+                arc = Arc(rng.uniform(0, 2 * math.pi), math.exp(rng.uniform(math.log(1e-18), math.log(0.3))))
+                zz = (1 - mpmath.mpf(z.depth)) * mpmath.expj(z.theta)
+
+                def angle(t):
+                    zeta = mpmath.expj(t)
+                    return mpmath.arg((zz - zeta) / (1 - mpmath.conj(zz) * zeta))
+
+                half = mpmath.pi * mpmath.mpf(arc.length)
+                c = mpmath.mpf(arc.center_angle)
+                exact = ((angle(c + half) - angle(c - half)) % (2 * mpmath.pi)) / (2 * mpmath.pi)
+                assert abs(geometry.arc_mobius_image(z, arc).length / exact - 1) <= 1e-5
+
+    def test_no_tiny_arc_becomes_the_circle(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20000):
+            z = DiscPoint(rng.uniform(0, 2 * math.pi), math.exp(rng.uniform(math.log(1e-8), 0.0)))
+            arc = Arc(rng.uniform(0, 2 * math.pi), math.exp(rng.uniform(math.log(1e-18), math.log(1e-13))))
+            assert geometry.arc_mobius_image(z, arc).length <= 0.5
+
     def test_comparable_to_image_arc_of_deep_point(self):
         rng = np.random.default_rng(9)
         for _ in range(30):

@@ -286,6 +286,24 @@ class TestCapacitanceSolve:
         assert np.abs(u - want).max() < VALUES_TOL
         assert energy == pytest.approx(grid_oracle.energy(grid, want), rel=REL)
 
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_only_the_centre_fixed(self, value):
+        # no ring node is fixed, so the layer and its capacitance matrix are
+        # empty and every node takes the centre's value
+        grid = capacity.PolarGrid(8, 16)
+        centre = np.zeros(grid.n_nodes, dtype=bool)
+        centre[0] = True
+        none = np.zeros(grid.n_nodes, dtype=bool)
+        u, energy = grid.solve(*((none, centre) if value else (centre, none)))
+        assert np.array_equal(u, np.full(grid.n_nodes, value))
+        assert energy == 0.0
+
+    def test_nothing_fixed_rejected(self):
+        grid = capacity.PolarGrid(8, 16)
+        none = np.zeros(grid.n_nodes, dtype=bool)
+        with pytest.raises(DomainError, match="no node is fixed"):
+            grid.solve(none, none)
+
     @pytest.mark.parametrize("shape", [(8, 16, 0.5), (12, 25, 0.01), (32, 96, 1e-4)])
     def test_modes_match_stencil_rows(self, shape):
         # T_m from its LDL^T factors, applied to v(k) cos(m theta_j) and

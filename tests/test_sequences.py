@@ -87,6 +87,15 @@ class TestVicinity:
         assert vic == [1, 2]
         assert sequences.restricted_vicinity(seq, 0, 0.75) == [1]
 
+    def test_every_member_swallowed_by_the_first_block(self):
+        # more members than one block of expanded boxes, each plain box inside
+        # its neighbours' expanded boxes: the first block swallows them all,
+        # and the later blocks test an empty set
+        seq = Sequence((DiscPoint(0.0, 0.3), *(DiscPoint(1e-9 * k, 1e-4) for k in range(sequences._PAIR_BLOCK + 6))))
+        assert len(sequences.vicinity(seq, 0, 0.75)) > sequences._PAIR_BLOCK
+        assert sequences.restricted_vicinity(seq, 0, 0.75) == []
+        assert sequence_oracle.restricted_vicinity(seq, 0, 0.75) == []
+
 
 class TestWeakSeparation:
     def test_duplicate_fails(self):
@@ -132,6 +141,15 @@ class TestCapacitaryCondition:
         p = DiscPoint(0.2, 0.3)
         report = sequences.check_capacitary_condition(Sequence((p, p)), 0.75)
         assert report.warnings
+
+    def test_failed_solve_leaves_the_verdict_open(self):
+        # point 0's solve fails (its coincident neighbour maps to the origin);
+        # the sup and witness come from point 1, and the verdict is None
+        p = DiscPoint(1.0, 0.01)
+        report = sequences.check_capacitary_condition(Sequence((p, p)), 0.75)
+        assert math.isnan(report.records[0]["ratio"])
+        assert (report.sup_ratio, report.witness_index, report.passed) == (0.0, 1, None)
+        assert report.to_json()["pass"] is None
 
 
 @st.composite
