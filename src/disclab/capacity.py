@@ -186,14 +186,6 @@ def _lower_energy(k: np.ndarray, diag: np.ndarray, w: np.ndarray) -> float:
     return 2.0 * below + float(w @ (diag * w))
 
 
-def _ridge_condition(k: np.ndarray, ridged: np.ndarray) -> float:
-    """Condition number of K plus the ridge, rebuilt from k's strict lower triangle."""
-    full = np.tril(k, -1)
-    full += full.T
-    np.fill_diagonal(full, ridged)
-    return float(np.linalg.cond(full))
-
-
 def equilibrium_measure(arcs: list[Arc]) -> EquilibriumMeasure:
     """Equilibrium measure of a finite union of disjoint arcs.
 
@@ -243,9 +235,7 @@ def equilibrium_measure(arcs: list[Arc]) -> EquilibriumMeasure:
             try:
                 x = _blas.solve_symmetric(block, np.ones(len(idx)), lower)
             except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"equilibrium system singular: {exc}", condition=_ridge_condition(k, ridged)
-                ) from exc
+                raise NumericalError(f"equilibrium system singular: {exc}") from exc
             w = np.zeros(n)
             w[idx] = x / x.sum()
             neg = w < -1e-12
@@ -255,7 +245,7 @@ def equilibrium_measure(arcs: list[Arc]) -> EquilibriumMeasure:
         w = np.maximum(w, 0.0)
         total = w.sum()
         if not math.isfinite(total) or total <= 0:
-            raise NumericalError("equilibrium weights degenerate", condition=_ridge_condition(k, ridged))
+            raise NumericalError("equilibrium weights degenerate")
         w /= total
         energy = _lower_energy(k, diag, w)
     if not math.isfinite(energy) or energy <= 0:
@@ -327,7 +317,6 @@ class PolarGrid:
             raise DomainError(f"min_depth out of (0, 0.5]: {min_depth}")
         self.n_r = n_r
         self.n_t = n_t
-        self.min_depth = min_depth
         k = np.arange(0, n_r + 1)
         radii = 1.0 - min_depth ** (k / n_r)  # radii[0] = 0 (center)
         self.ring_r = np.concatenate([radii[1:], [1.0]])  # rings 1..K
@@ -424,6 +413,8 @@ class PolarGrid:
         each candidate node is the full-grid one.
         """
         mask = np.zeros(self.n_nodes, dtype=bool)
+        if isinstance(plate, Arc):  # the box over the arc at inner radius 1: its last-ring nodes
+            plate = CarlesonBox(plate, 1.0)
         if isinstance(plate, HyperbolicDisc):
             c, rad = plate.euclidean()
             a = abs(c)
@@ -442,9 +433,6 @@ class PolarGrid:
             k0 = int(np.searchsorted(self.ring_r, plate.inner_radius - 1e-15))
             mask[self._nodes(k0, self.n_rings, self._arc_columns(plate.base_arc))] = True
             mask[0] = plate.inner_radius == 0.0
-        elif isinstance(plate, Arc):
-            k0 = int(np.searchsorted(self.ring_r, 1.0 - 1e-15))
-            mask[self._nodes(k0, self.n_rings, self._arc_columns(plate))] = True
         else:
             raise DomainError(f"unsupported plate type: {type(plate).__name__}")
         cells = int(np.count_nonzero(mask))
@@ -802,9 +790,7 @@ def _check_residual(relative: np.ndarray) -> None:
     """Raise a NumericalError if a residual, relative to its node's conductance sum, exceeds RESIDUAL_BOUND."""
     worst = float(np.max(np.abs(relative), initial=0.0))
     if not worst <= RESIDUAL_BOUND:
-        raise NumericalError(
-            f"grid solve residual {worst:.3g} of the conductance sum exceeds {RESIDUAL_BOUND:g}", estimate=worst
-        )
+        raise NumericalError(f"grid solve residual {worst:.3g} of the conductance sum exceeds {RESIDUAL_BOUND:g}")
 
 
 def _angles_in_arc(thetas: np.ndarray, arc: Arc) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Batch front door: run checkers, tree computations, and capacity solves.
 
 Exit codes: 0 pass, 1 condition failed, 2 bad input, 3 numerical failure.
-Reports are JSON (sweep tables CSV) and echo the parameters the
-subcommand read.  This module is the file boundary: input files are read
+Reports are strict JSON (sweep tables CSV) and echo the parameters the
+subcommand read; a non-finite number is written as null, with a warning
+naming where.  This module is the file boundary: input files are read
 by sequences.read_json and output files written by _write, each mapping
 what goes wrong with a file to an InputError, so an unreadable,
 undecodable or unwritable file exits 2.
@@ -78,11 +79,29 @@ def _write_csv(path, header, rows):
     _write(path, buf.getvalue())
 
 
+def _finite(value, path: str, warnings: list):
+    """value with each non-finite float, which strict JSON cannot hold, as None; warnings get its path."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return value
+        warnings.append(f"{path} was {value!r}, not a JSON number; written as null")
+        return None
+    if isinstance(value, dict):
+        return {key: _finite(v, f"{path}.{key}" if path else key, warnings) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v, f"{path}[{i}]", warnings) for i, v in enumerate(value)]
+    return value
+
+
 def _emit(report: dict, args):
     given = vars(args)
     config = {key: given[key] for key in _CONFIG_KEYS if key in given}
     report = {"version": __version__, "config": config, **report}
-    text = json.dumps(report, indent=2)
+    found = []
+    report = _finite(report, "", found)
+    if found:
+        report["warnings"] = report.get("warnings", []) + found
+    text = json.dumps(report, indent=2, allow_nan=False)
     if args.out:
         _write(args.out, text + "\n")
     print(text)
@@ -160,6 +179,8 @@ def cmd_tree(args) -> int:
             tuple(args.m), gamma=args.gamma, eta=args.eta, seed=args.seed
         )
         _emit(report.to_json(), args)
+        if report.passed is None:  # the teeth check's solve failed
+            return EXIT_NUMERICAL
         return EXIT_PASS if report.passed else EXIT_FAIL
     # distcheck
     result = tree.tree_disc_distance_check(args.n_max)

@@ -16,11 +16,6 @@ class InputError(DisclabError, ValueError):
 class NumericalError(DisclabError, RuntimeError):
     """A solver failed: singular system, non-SPD matrix, lost accuracy."""
 
-    def __init__(self, message, estimate=None, condition=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.condition = condition
-
 
 class ResolutionError(DisclabError, ValueError):
     """Grid too coarse to resolve a plate; message names the plate."""

@@ -1,8 +1,8 @@
 """Exact formulas of the unit disc.
 
 Mobius automorphisms, the Dirichlet reproducing kernel and its induced
-metric, hyperbolic distance, boundary arcs, Carleson boxes and harmonic
-measure.  Everything here is a pure function of its inputs.
+metric, hyperbolic distance, boundary arcs and Carleson boxes.
+Everything here is a pure function of its inputs.
 
 Points are stored as (theta, depth) with depth = 1 - |z|.  This keeps
 points that are exponentially close to the boundary (depth ~ 2^-800)
@@ -15,7 +15,7 @@ intersecting_arc_pairs, over whose pairs arc unions are grouped.
 point_from_json and arc_from_json parse the input forms of points and
 arcs; of the point forms only {"theta", "depth"} is exact for deep points.
 number_from_json reads every number of those forms and of the condenser
-specs, and refuses a boolean.
+specs, and refuses a boolean and an integer beyond float range.
 """
 
 from __future__ import annotations
@@ -245,10 +245,14 @@ def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def number_from_json(value) -> float:
-    """A JSON number as a float; a boolean, which float() reads as 0 or 1, is a TypeError."""
+    """A JSON number as a float; a boolean, which float() reads as 0 or 1, is a
+    TypeError, and an integer beyond float range a ValueError."""
     if isinstance(value, bool):
         raise TypeError(f"want a number, got {str(value).lower()}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError("integer beyond float range") from exc
 
 
 def point_from_json(d: dict) -> DiscPoint:
@@ -510,40 +514,3 @@ class HyperbolicDisc:
 def unit_hyperbolic_disc(z: DiscPoint) -> HyperbolicDisc:
     """Delta_1(z), the default plate around a point."""
     return HyperbolicDisc(z, 1.0)
-
-
-def _poisson_antiderivative(r: float, s: float) -> float:
-    """Continuous antiderivative of the Poisson kernel (1-r^2)/|1-r e^{is}|^2.
-
-    H(s) = s - 2 arg(1 - r e^{is}); the argument stays in (-pi/2, pi/2)
-    because Re(1 - r e^{is}) >= 1-r > 0, so no branch surgery is needed.
-    """
-    return s + 2.0 * math.atan2(r * math.sin(s), 1.0 - r * math.cos(s))
-
-
-def harmonic_measure(z: DiscPoint, arcs: list[Arc] | Arc) -> float:
-    """omega(z, union of arcs, D): Poisson integral of the arc indicator at z.
-
-    Additive over the (required pairwise disjoint) arcs; equals the total
-    arc length at z = 0 and 1 for the full circle.
-    """
-    if isinstance(arcs, Arc):
-        arcs = [arcs]
-    for i in range(len(arcs)):
-        for j in range(i + 1, len(arcs)):
-            gap = abs(_signed_angle(arcs[j].center_angle - arcs[i].center_angle))
-            if gap < arcs[i].half_width + arcs[j].half_width - 1e-14:
-                raise InputError(f"overlapping arcs: {arcs[i]} and {arcs[j]}")
-    r = 1.0 - z.depth
-    total = 0.0
-    for arc in arcs:
-        if arc.is_full_circle():
-            total += 1.0
-            continue
-        a = arc.start - z.theta
-        b = arc.end - z.theta
-        # shift by whole turns so the interval sits inside one period
-        a = _signed_angle(a)
-        b = a + 2.0 * arc.half_width
-        total += (_poisson_antiderivative(r, b) - _poisson_antiderivative(r, a)) / TWO_PI
-    return min(total, 1.0)

@@ -174,10 +174,10 @@ def path_union_size(cond: TreeCondenser) -> int:
 # comb construction
 
 
-def _comb_size(big_n: int, minimum: int = 4, name: str = "N") -> int:
-    """m = sqrt(N), for N a perfect square >= minimum."""
-    if big_n < minimum or math.isqrt(big_n) ** 2 != big_n:
-        raise DomainError(f"{name} must be a perfect square >= {minimum}, got {big_n}")
+def _comb_size(big_n: int, name: str = "N") -> int:
+    """m = sqrt(N), for N a perfect square >= 4."""
+    if big_n < 4 or math.isqrt(big_n) ** 2 != big_n:
+        raise DomainError(f"{name} must be a perfect square >= 4, got {big_n}")
     return math.isqrt(big_n)
 
 
@@ -243,7 +243,7 @@ class SweepRow:
     c0: float
     c0_sqrt_n: float
     closed_form: float
-    exact_solver: float
+    exact_solver: float | None  # None when the exact route was not run
     limit_gap: float
 
 
@@ -259,22 +259,10 @@ def comb_sweep(m_values, with_exact: bool = False) -> list[SweepRow]:
         exact = (
             tree_capacity_exact(CombSpec(default_anchor(big_n)).condenser())
             if with_exact
-            else float("nan")
+            else None
         )
         rows.append(SweepRow(big_n, c0, c0 * m, closed, exact, COMB_LIMIT - c0 * m))
     return rows
-
-
-def comb_lower_bound_check(n_values) -> dict:
-    """c0 >= 1/(10 sqrt(N)) for every perfect square in the range."""
-    worst = math.inf
-    records = []
-    for big_n in n_values:
-        m = _comb_size(big_n, minimum=16)
-        val = comb_capacity_recursive(big_n) * m
-        records.append({"N": big_n, "c0_sqrtN": val})
-        worst = min(worst, val)
-    return {"condition": "c0 >= 1/(10 sqrt(N))", "minimum": worst, "pass": worst >= 0.1, "records": records}
 
 
 def tree_disc_distance_check(n_max: int = 60) -> dict:
@@ -314,7 +302,7 @@ class ScenarioReport:
     mass_records: list
     tree_records: list
     teeth_cc: object
-    passed: bool
+    passed: bool | None
     params: dict
 
     def to_json(self) -> dict:
@@ -389,7 +377,6 @@ def counterexample_scenario(
 
     all_teeth = sequences.union([comb_disc_sequence(c, include_anchor=False) for c in combs])
     teeth_cc = sequences.check_capacitary_condition(all_teeth, gamma)
-    ok &= math.isfinite(teeth_cc.sup_ratio)
 
     params = {
         "m_list": list(m_list),
@@ -399,4 +386,6 @@ def counterexample_scenario(
         "mass_budget": MASS_BUDGET,
         "seed": seed,
     }
-    return ScenarioReport(ws, mass_records, tree_records, teeth_cc, bool(ok), params)
+    # a teeth check whose solve failed leaves the verdict undetermined
+    passed = None if teeth_cc.passed is None else bool(ok)
+    return ScenarioReport(ws, mass_records, tree_records, teeth_cc, passed, params)

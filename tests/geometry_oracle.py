@@ -6,13 +6,16 @@ and hyperbolic distance that `PointSet` evaluates over arrays, the
 box containment that `boxes_contain` tests elementwise, the arc meeting
 that `intersecting_arc_pairs` confirms, and the point in box test that
 `check_carleson` makes over points x boxes.  None of them
-calls `PointSet`, `boxes_contain` or the arc sweep.
+calls `PointSet`, `boxes_contain` or the arc sweep.  Harmonic measure,
+in closed form, is here too: the library has no caller for it, and the
+tests hold `arc_mobius_image`'s length against it.
 """
 
 import cmath
 import math
 
-from disclab.geometry import ORIGIN, Arc, CarlesonBox, DiscPoint, _signed_angle, kernel_norm_sq
+from disclab.errors import InputError
+from disclab.geometry import ORIGIN, TWO_PI, Arc, CarlesonBox, DiscPoint, _signed_angle, kernel_norm_sq
 
 # |w*conj(z)| below which the kernel power series replaces the log formula
 KERNEL_SERIES_CUTOFF = 1e-4
@@ -110,3 +113,40 @@ def box_contains_point(box: CarlesonBox, p: DiscPoint) -> bool:
         return True
     # absolute slack covers rounding of endpoint angles near magnitude 2*pi
     return abs(_signed_angle(p.theta - arc.center_angle)) <= arc.half_width * (1 + 1e-15) + 1e-14
+
+
+def _poisson_antiderivative(r: float, s: float) -> float:
+    """Continuous antiderivative of the Poisson kernel (1-r^2)/|1-r e^{is}|^2.
+
+    H(s) = s - 2 arg(1 - r e^{is}); the argument stays in (-pi/2, pi/2)
+    because Re(1 - r e^{is}) >= 1-r > 0, so no branch surgery is needed.
+    """
+    return s + 2.0 * math.atan2(r * math.sin(s), 1.0 - r * math.cos(s))
+
+
+def harmonic_measure(z: DiscPoint, arcs: list[Arc] | Arc) -> float:
+    """omega(z, union of arcs, D): Poisson integral of the arc indicator at z.
+
+    Additive over the (required pairwise disjoint) arcs; equals the total
+    arc length at z = 0 and 1 for the full circle.
+    """
+    if isinstance(arcs, Arc):
+        arcs = [arcs]
+    for i in range(len(arcs)):
+        for j in range(i + 1, len(arcs)):
+            gap = abs(_signed_angle(arcs[j].center_angle - arcs[i].center_angle))
+            if gap < arcs[i].half_width + arcs[j].half_width - 1e-14:
+                raise InputError(f"overlapping arcs: {arcs[i]} and {arcs[j]}")
+    r = 1.0 - z.depth
+    total = 0.0
+    for arc in arcs:
+        if arc.is_full_circle():
+            total += 1.0
+            continue
+        a = arc.start - z.theta
+        b = arc.end - z.theta
+        # shift by whole turns so the interval sits inside one period
+        a = _signed_angle(a)
+        b = a + 2.0 * arc.half_width
+        total += (_poisson_antiderivative(r, b) - _poisson_antiderivative(r, a)) / TWO_PI
+    return min(total, 1.0)

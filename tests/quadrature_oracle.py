@@ -1,7 +1,8 @@
 """Adaptive quadrature, the independent reference for harmonic measure.
 
-The library evaluates harmonic measure in closed form; the tests hold
-it against this numerical integration of the Poisson kernel.
+The oracle, not the library, holds harmonic measure in closed form
+(geometry_oracle.harmonic_measure); the tests hold it against this
+numerical integration of the Poisson kernel.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ def adaptive_integrate(f, a: float, b: float, tol: float = 1e-10, max_depth: int
         right = simpson(mid, hi, fmid, fr, fhi)
         if depth >= max_depth:
             best = left + right + (left + right - whole) / 15.0
-            raise NumericalError("adaptive integration hit max depth", estimate=best)
+            raise NumericalError(f"adaptive integration hit max depth; estimate {best!r}")
         if abs(left + right - whole) <= 15.0 * eps:
             return left + right + (left + right - whole) / 15.0
         return recurse(lo, mid, flo, fl, fmid, left, eps / 2.0, depth + 1) + recurse(

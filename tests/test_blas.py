@@ -73,9 +73,12 @@ class TestScope:
 
 def test_no_idle_spin_after_equilibrium_solve():
     # a threaded factorisation of this size leaves OpenBLAS's worker busy-waiting for
-    # about 124 ms, which a 50 ms sleep would count as about 50 ms of CPU
+    # about 124 ms, which a 50 ms sleep would count as about 50 ms of CPU.  The worker
+    # busy-waits as long once more when numpy's import starts it, so the solve waits
+    # 0.25 s for that to end: only a spin the solve leaves behind is counted
     code = (
         "import math, time; from disclab import capacity; from disclab.geometry import Arc; "
+        "time.sleep(0.25); "
         "mu = capacity.equilibrium_measure([Arc(2 * math.pi * j / 64, 0.005) for j in range(64)]); "
         "start = time.process_time(); time.sleep(0.05); "
         "print(len(mu.nodes), time.process_time() - start)"

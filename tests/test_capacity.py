@@ -94,15 +94,7 @@ class TestEquilibriumOracle:
 class TestEquilibriumErrors:
     ARCS = [Arc(0.3 + 1.5 * j, 0.05) for j in range(4)]
 
-    def oracle_condition(self):
-        nodes, widths = equilibrium_oracle.nodes(self.ARCS)
-        k = equilibrium_oracle.energy_matrix(nodes, widths)
-        n = len(nodes)
-        return np.linalg.cond(k + (capacity.RIDGE_FACTOR * np.trace(k) / n) * np.eye(n))
-
-    def test_singular_system_reports_ridge_condition(self, monkeypatch):
-        # after the in-place factorisation k no longer holds K; the condition
-        # comes from its untouched triangle and the ridge diagonal
+    def test_singular_system_raises(self, monkeypatch):
         fn, per_row = _blas._sysv_rook()
 
         def singular(*args):
@@ -110,15 +102,13 @@ class TestEquilibriumErrors:
             args[10].value = 1  # info: D[0] exactly zero
 
         monkeypatch.setattr(_blas, "_sysv_rook", lambda: (singular, per_row))
-        with pytest.raises(NumericalError, match="singular") as caught:
+        with pytest.raises(NumericalError, match="singular"):
             capacity.equilibrium_measure(self.ARCS)
-        assert caught.value.condition == pytest.approx(self.oracle_condition(), rel=1e-12)
 
-    def test_degenerate_weights_report_ridge_condition(self, monkeypatch):
+    def test_degenerate_weights_raise(self, monkeypatch):
         monkeypatch.setattr(_blas, "solve_symmetric", lambda a, b, lower: np.full(len(b), np.nan))
-        with pytest.raises(NumericalError, match="degenerate") as caught:
+        with pytest.raises(NumericalError, match="degenerate"):
             capacity.equilibrium_measure(self.ARCS)
-        assert caught.value.condition == pytest.approx(self.oracle_condition(), rel=1e-12)
 
 
 class TestArcNodes:

@@ -1,8 +1,14 @@
 import argparse
+import contextlib
+import dataclasses
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disclab import cli, sequences
 from disclab.geometry import DiscPoint
@@ -36,6 +42,15 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def strict_json(text):
+    """text parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    return json.loads(text, parse_constant=_refuse)
 
 
 def leaf_commands(parser, prefix=()):
@@ -123,9 +138,9 @@ class TestCheck:
         assert code == 3
         assert err == ""
         assert out_path.read_text() == out
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["pass"] is None
-        assert math.isnan(report["records"][0]["ratio"]) and report["records"][1]["ratio"] == 0.0
+        assert report["records"][0]["ratio"] is None and report["records"][1]["ratio"] == 0.0
         assert (report["sup_ratio"], report["witness_index"]) == (0.0, 1)
         assert any("failed at index 0" in w for w in report["warnings"])
 
@@ -278,6 +293,26 @@ class TestTree:
         code, out, _ = run(["tree", "counterexample", "--m", "4", "5"], capsys)
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    def test_counterexample_undetermined_exits_3(self, tmp_path, capsys, monkeypatch):
+        # at these m the teeth make no solve, so a failed one is stood in for
+        real = sequences.check_capacitary_condition
+        monkeypatch.setattr(
+            sequences, "check_capacitary_condition", lambda *a: dataclasses.replace(real(*a), passed=None)
+        )
+        out_path = tmp_path / "report.json"
+        code, out, _ = run(["tree", "counterexample", "--m", "4", "5", "--out", str(out_path)], capsys)
+        assert code == 3
+        assert out_path.read_text() == out
+        assert strict_json(out)["pass"] is None
+
+    def test_comb_without_exact_is_strict_json(self, capsys):
+        # the exact route did not run: its column is null, and no number was non-finite
+        code, out, _ = run(["tree", "comb", "--m-max", "3"], capsys)
+        assert code == 0
+        report = strict_json(out)
+        assert [row["exact_solver"] for row in report["sweep"]] == [None, None]
+        assert "warnings" not in report
 
     def test_distcheck(self, capsys):
         code, out, _ = run(["tree", "distcheck", "--n-max", "10"], capsys)
@@ -453,6 +488,7 @@ def grid_spec(radius):
         (["capacity", "grid"], grid_spec(True), "want a number, got true"),
         (["check", "ws"], {"points": [{"theta": True, "depth": 0.5}, {"theta": 2.0, "depth": 0.5}]}, "got true"),
         (["capacity", "arcs"], {"arcs": [{"center_angle": 0.0, "length": False}]}, "want a number, got false"),
+        (["check", "ws"], {"points": [{"theta": 0.5, "depth": 10**400}]}, "integer beyond float range"),
     ],
     ids=[
         "arcs-nan-center",
@@ -462,6 +498,7 @@ def grid_spec(radius):
         "grid-boolean-radius",
         "sequence-boolean-theta",
         "arcs-boolean-length",
+        "sequence-huge-integer-depth",
     ],
 )
 def test_non_finite_or_boolean_value_exits_2(argv, spec, message, good_sequence, tmp_path, capsys):
@@ -473,6 +510,102 @@ def test_non_finite_or_boolean_value_exits_2(argv, spec, message, good_sequence,
     assert message in err
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "condition, code, warned",
+    [
+        ("cc", 3, ["records[0].lhs", "records[0].ratio"]),
+        ("ws", 1, ["records[0].ratio", "records[1].ratio", "sup_ratio"]),
+    ],
+    ids=["cc", "ws"],
+)
+def test_non_finite_numbers_written_as_null(condition, code, warned, tmp_path, capsys):
+    # two coincident points: cc's solve fails at the first (NaN), ws divides by a zero metric (inf)
+    seq = write_sequence(tmp_path / "seq.json", [DiscPoint(1.0, 0.01)] * 2)
+    got, out, _ = run(["check", condition, str(seq)], capsys)
+    assert got == code
+    report = strict_json(out)
+    noted = [w.split(" was ")[0] for w in report["warnings"] if w.endswith("not a JSON number; written as null")]
+    assert noted == warned
+
+
+# One valid input per leaf that reads JSON: the command line, with {name}
+# for each file, and the files.  The grid is small and fixed: size flags
+# are not fuzzed, as a huge one asks for a huge allocation.
+FUZZ_SEQUENCE = {
+    "points": [{"theta": 0.3, "depth": 0.2}, {"re": -0.5, "im": 0.3}, {"r": 0.9, "theta": 4.0}, {"depth": 0.01}]
+}
+FUZZ_ARCS = [{"center_angle": 0.5, "length": 0.1}, {"center_angle": 3.0, "length": 0.2}]
+FUZZ_LEAVES = [
+    (["check", "ws", "{seq}"], {"seq": FUZZ_SEQUENCE}),
+    (["check", "cc", "{seq}"], {"seq": FUZZ_SEQUENCE}),
+    (["check", "cm", "{seq}", "--arcs", "{families}"], {"seq": FUZZ_SEQUENCE, "families": {"families": [FUZZ_ARCS]}}),
+    (["check", "mass", "{seq}"], {"seq": FUZZ_SEQUENCE}),
+    (["check", "theorem-d", "{seq}"], {"seq": FUZZ_SEQUENCE}),
+    (["capacity", "arcs", "{spec}"], {"spec": {"arcs": FUZZ_ARCS}}),
+    (
+        ["capacity", "condenser", "{spec}"],
+        {"spec": {"z": {"theta": 0.2, "depth": 0.3}, "points": [{"theta": 2.0, "depth": 0.1}], "arcs": FUZZ_ARCS}},
+    ),
+    (
+        ["capacity", "grid", "{spec}", "--grid-r", "16", "--grid-t", "32"],
+        {
+            "spec": {
+                "plate_inner": {"center": {"theta": 0.0, "depth": 0.6}, "radius": 0.5},
+                "plate_outer": {
+                    "arcs": [{"center_angle": 3.0, "length": 0.25}],
+                    "boxes": [{"base_arc": {"center_angle": 1.0, "length": 0.2}, "inner_radius": 0.8}],
+                },
+            }
+        },
+    ),
+]
+FUZZ_VALUES = [math.nan, math.inf, -math.inf, True, "x", [1], 0, -1.0, 1e308, 10**400]
+
+
+def _number_paths(value, path=()):
+    """The key and index paths of the numbers in a JSON value."""
+    if isinstance(value, dict):
+        return [p for key, v in value.items() for p in _number_paths(v, path + (key,))]
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in _number_paths(v, path + (i,))]
+    return [path]
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(value, dict):
+        return {key: _replaced(v, rest, new) if key == head else v for key, v in value.items()}
+    return [_replaced(v, rest, new) if i == head else v for i, v in enumerate(value)]
+
+
+# (leaf, file, path) for every number of every leaf's files
+FUZZ_TARGETS = [
+    (i, name, path) for i, (_, files) in enumerate(FUZZ_LEAVES) for name in files for path in _number_paths(files[name])
+]
+
+
+@settings(max_examples=120)
+@given(st.sampled_from(FUZZ_TARGETS), st.sampled_from(FUZZ_VALUES))
+def test_fuzzed_json_value_exits_cleanly(target, new):
+    leaf, name, path = target
+    argv, files = FUZZ_LEAVES[leaf]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for key, blob in files.items():
+            paths[key] = Path(tmp, f"{key}.json")
+            # Python's json writes NaN, Infinity and huge integers, and reads them back
+            paths[key].write_text(json.dumps(_replaced(blob, path, new) if key == name else blob))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([a.format(**paths) for a in argv])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        strict_json(out.getvalue())
 
 
 def test_files_touched_only_at_the_boundary():

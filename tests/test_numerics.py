@@ -27,9 +27,8 @@ class TestAdaptiveIntegrate:
         def needle(t):
             return 1.0 / (1e-14 + abs(t - 1.0 / 3.0))
 
-        with pytest.raises(NumericalError) as err:
+        with pytest.raises(NumericalError, match=r"max depth; estimate \d"):
             adaptive_integrate(needle, 0.0, 1.0, tol=1e-14, max_depth=8)
-        assert err.value.estimate is not None
 
     @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
     def test_polynomial(self, a, b):

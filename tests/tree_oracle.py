@@ -5,7 +5,8 @@ one parent at a time, and the grounded Laplacian on it is solved densely
 with unit conductances.  Nothing is compressed, so these share no code
 with the virtual tree that the library folds and solves on.  The tree
 steps that only tests take, parent, child_minus and ancestor_at, are
-here too, with the structural box of a node.
+here too, with the structural box of a node and the comb lower bound
+check of the acceptance suite.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 
 from disclab.errors import DomainError
 from disclab.geometry import Arc, CarlesonBox
-from disclab.tree import TreeCondenser, TreeNode
+from disclab.tree import TreeCondenser, TreeNode, comb_capacity_recursive
 
 
 def parent(node: TreeNode) -> TreeNode:
@@ -42,6 +43,19 @@ def box(node: TreeNode) -> CarlesonBox:
     """The structural box over the dyadic arc [(k-1)/2^n, k/2^n]."""
     center = 2.0 * math.pi * float(Fraction(2 * node.k - 1, 2 ** (node.n + 1)))
     return CarlesonBox(Arc(center, math.ldexp(1.0, -node.n)), 1.0 - math.ldexp(1.0, -node.n))
+
+
+def comb_lower_bound_check(n_values) -> dict:
+    """c0 >= 1/(10 sqrt(N)) for every perfect square N >= 16 in the range."""
+    worst = math.inf
+    records = []
+    for big_n in n_values:
+        if big_n < 16:
+            raise DomainError(f"N must be a perfect square >= 16, got {big_n}")
+        val = comb_capacity_recursive(big_n) * math.isqrt(big_n)
+        records.append({"N": big_n, "c0_sqrtN": val})
+        worst = min(worst, val)
+    return {"condition": "c0 >= 1/(10 sqrt(N))", "minimum": worst, "pass": worst >= 0.1, "records": records}
 
 
 def path_union(cond: TreeCondenser):
