@@ -6,16 +6,17 @@ node count n, the median wall and CPU time (`time.process_time`, all of
 this process's threads) of `capacity.equilibrium_measure` over the
 repeats, the peak of memory traced by `tracemalloc` during one call,
 which counts numpy's arrays but not the workspace LAPACK allocates
-itself, and the peak RSS (`ru_maxrss`) of a fresh interpreter that
-imports disclab and makes one call, which counts everything, the
-interpreter and numpy (about 30 MB) included.
+itself, and the peak RSS of a fresh interpreter that imports disclab
+and makes one call, which counts everything, the interpreter and numpy
+(about 30 MB) included.  That peak is the child's own high-water mark
+(`VmHWM`, Linux): its `ru_maxrss` would also count the RSS this
+process had when it started the child.
 
     PYTHONPATH=src python3 scripts/equilibrium_scaling.py [--repeats 9] [--seed 0]
 """
 
 import argparse
 import math
-import resource
 import statistics
 import subprocess
 import sys
@@ -44,6 +45,16 @@ def families(seed: int) -> dict[int, list[Arc]]:
     return {k: disjoint_arcs(rng, k) for k in ARC_COUNTS}
 
 
+def own_peak_rss_mb() -> float:
+    """This process's peak RSS in MB since it started its program.
+
+    Linux keeps the RSS of the process that started it in ru_maxrss, but
+    VmHWM is that of the program's own memory, which exec starts afresh.
+    """
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024  # kB
+
+
 def peak_rss_mb(seed: int, k: int) -> float:
     """Peak RSS of a fresh interpreter that makes one solve on the k-arc family."""
     command = [sys.executable, __file__, "--seed", str(seed), "--one-solve", str(k)]
@@ -58,7 +69,7 @@ def main():
     args = parser.parse_args()
     if args.one_solve is not None:
         capacity.equilibrium_measure(families(args.seed)[args.one_solve])
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)  # KiB on Linux
+        print(own_peak_rss_mb())
         return
     print(f"{'arcs':>5} {'n':>6} {'wall ms':>8} {'cpu ms':>8} {'peak MB':>8} {'RSS MB':>8}")
     for k, arcs in families(args.seed).items():

@@ -48,12 +48,11 @@ rows give the residual and the parts' Dirichlet form: each part's energy
 on the diagonal and, from the cut edges, the couplings between parts off
 it.  Rows cost in proportion to the live nodes, an interpolant's small
 supports, where the arrays cost in proportion to the whole grid.
-scipy is imported only inside the functions that use it, so importing
-disclab does not load it.
 
 The dense and banded factorisations (the equilibrium LDL^T, the
-capacitance Cholesky, the banded Cholesky) run on one BLAS thread, set
-for the calling thread for the duration of the call (see _blas).  At
+capacitance Cholesky, the banded Cholesky) run in numpy's own OpenBLAS,
+so no route here loads scipy, each on one BLAS thread, set for the
+calling thread for the duration of the call (see _blas).  At
 these sizes OpenBLAS's second thread pays too little.  After any solve
 of 128 rows or more its worker busy-waits about 120 ms for more work, so
 in a loop of solves it never sleeps and the CPU time doubles; and of 300
@@ -494,14 +493,15 @@ class PolarGrid:
         taken one at a time, outwards: the products from every inner ring
         grow by one factor per ring, and one inverse real FFT gives the
         transforms from all of them to this ring, so the memory stays
-        O(rings x n_t).  Only the upper triangle is filled.
+        O(rings x n_t).  Only the upper triangle is filled, in a
+        Fortran-ordered array: LAPACK's upper triangle, factored in place.
         """
         _, rho, diag = self._modes
         n_t = self.n_t
         k, j = np.divmod(nodes - 1, n_t)
         rings, first, ring_of = np.unique(k, return_index=True, return_inverse=True)
         ends = np.append(first[1:], len(nodes))
-        green = np.zeros((len(nodes), len(nodes)))
+        green = np.zeros((len(nodes), len(nodes)), order="F")
         # row a: the product of rho from the a-th ring of the nodes to this one
         column = np.empty((len(rings), len(rho)))
         for r, ring in enumerate(rings):
@@ -591,21 +591,21 @@ class PolarGrid:
         node takes the centre's value.  A free centre has a layer, as
         solve refuses a grid with no node fixed.
         """
-        import scipy.linalg
-
-        with _blas.single_thread():
-            try:
-                factor = scipy.linalg.cho_factor(self._green(layer), check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"capacitance matrix on {len(layer)} nodes not positive definite: {exc}") from exc
-            if free[0]:
-                both = np.column_stack([u[layer], np.ones(len(layer))])
-                x = scipy.linalg.cho_solve(factor, both, check_finite=False)
-                c = x[:, 0].sum() / x[:, 1].sum()
-                charges = x[:, 0] - c * x[:, 1]
-            else:
-                c = u[0]
-                charges = scipy.linalg.cho_solve(factor, u[layer] - c, check_finite=False)
+        if free[0]:
+            rhs = np.ones((len(layer), 2), order="F")
+            rhs[:, 0] = u[layer]
+        else:
+            rhs = u[layer] - u[0]
+        try:
+            with _blas.single_thread():
+                x = _blas.solve_definite(self._green(layer), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"capacitance matrix on {len(layer)} nodes not positive definite: {exc}") from exc
+        if free[0]:
+            c = x[:, 0].sum() / x[:, 1].sum()
+            charges = x[:, 0] - c * x[:, 1]
+        else:
+            c, charges = u[0], x
         f = np.zeros(self.n_nodes - 1)
         f[layer - 1] = charges
         modes = self._radial_solve(np.fft.rfft(f.reshape(self.n_rings, self.n_t), axis=1).T)
@@ -757,8 +757,6 @@ class PolarGrid:
         ab[p - q, q] for each joined edge between the free nodes in rows
         p > q.
         """
-        import scipy.linalg
-
         nodes = np.flatnonzero(free)
         n_free = len(nodes)
         # the matrix row of each free node, and a spare row for the fixed ones
@@ -769,16 +767,14 @@ class PolarGrid:
         lower = joined & free[heads] & (pos[tails] < rows)
         cols = pos[tails[lower]]
         offsets = rows[lower] - cols
-        # in LAPACK's column-major layout, so scipy factors it without a copy
+        # in LAPACK's column-major layout, so it is factored in place
         ab = np.zeros((1 + offsets.max(initial=0), n_free), order="F")
         ab[0] = np.bincount(rows, weights=g, minlength=n_free + 1)[:n_free]
         ab[offsets, cols] = -g[lower]
         rhs = np.bincount(rows, weights=g * (joined & mask1[tails]), minlength=n_free + 1)[:n_free]
         try:
             with _blas.single_thread():
-                x = scipy.linalg.solveh_banded(
-                    ab, rhs, overwrite_ab=True, overwrite_b=True, lower=True, check_finite=False
-                )
+                x = _blas.solve_banded(ab, rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"banded system on {n_free} nodes, bandwidth {len(ab) - 1}, not positive definite: {exc}"

@@ -701,13 +701,24 @@ def test_equilibrium_route_loads_no_scipy():
     assert _scipy_modules_after(code) == "[]"
 
 
-def test_interpolant_route_loads_no_scipy_sparse():
-    # the interpolant's parts solve is one banded Cholesky factorisation from scipy.linalg
+def test_interpolant_route_loads_no_scipy():
+    # the interpolant's parts solve is one banded Cholesky factorisation in numpy's own LAPACK
     code = (
         "from disclab import sequences; "
         "seq = sequences.disjoint_boxes(6, seed=11); "
         "sequences._build_blocks(seq, 0.75, (64, 256))"
     )
-    loaded = _scipy_modules_after(code)
-    assert "scipy.linalg" in loaded
-    assert "scipy.sparse" not in loaded
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_grid_route_loads_no_scipy(tmp_path):
+    # a condenser solve factors its capacitance matrix by Cholesky in numpy's own
+    # LAPACK, in the library (the centre free) and in `disclab capacity grid`
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(ANNULUS_SPEC))
+    code = (
+        "from disclab import capacity, cli; from disclab.geometry import DiscPoint; "
+        "capacity.three_condenser_capacities(DiscPoint(1.0, 0.08), [DiscPoint(2.0, 0.02)], (64, 256)); "
+        f"assert cli.main(['capacity', 'grid', {str(spec)!r}, '--grid-r', '32', '--grid-t', '64']) == 0"
+    )
+    assert _scipy_modules_after(code).splitlines()[-1] == "[]"

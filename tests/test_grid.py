@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import grid_oracle
 from conftest import angles, disc_points
-from disclab import capacity, geometry, sequences
+from disclab import _blas, capacity, geometry, sequences
 from disclab.errors import DomainError, NumericalError, ResolutionError
 from disclab.geometry import ORIGIN, Arc, CarlesonBox, DiscPoint, HyperbolicDisc
 
@@ -344,20 +344,16 @@ class TestCapacitanceSolve:
         return grid, grid.rasterize(spec.plate_inner), mask1
 
     def test_failed_cholesky_raises_numerical_error(self, monkeypatch):
-        import scipy.linalg
-
         def not_positive_definite(*args, **kwargs):
             raise np.linalg.LinAlgError("leading minor not positive definite")
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", not_positive_definite)
+        monkeypatch.setattr(_blas, "solve_definite", not_positive_definite)
         with pytest.raises(NumericalError, match="not positive definite"):
             capacity.PolarGrid.solve(*self._condenser())
 
     def test_residual_guard(self, monkeypatch):
-        import scipy.linalg
-
-        cho_solve = scipy.linalg.cho_solve
-        monkeypatch.setattr(scipy.linalg, "cho_solve", lambda *a, **k: cho_solve(*a, **k) * (1.0 + 1e-6))
+        solve_definite = _blas.solve_definite
+        monkeypatch.setattr(_blas, "solve_definite", lambda *a, **k: solve_definite(*a, **k) * (1.0 + 1e-6))
         with pytest.raises(NumericalError, match="residual"):
             capacity.PolarGrid.solve(*self._condenser())
 
@@ -471,16 +467,14 @@ def labelled_windows(draw):
 
 def _recorded_bandwidth(monkeypatch, grid, mask0, mask1, parts) -> int:
     """The bandwidth of the one banded system a parts solve factors."""
-    import scipy.linalg
-
     shapes = []
-    solveh_banded = scipy.linalg.solveh_banded
+    solve_banded = _blas.solve_banded
 
     def recording(ab, *args, **kwargs):
         shapes.append(ab.shape)
-        return solveh_banded(ab, *args, **kwargs)
+        return solve_banded(ab, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "solveh_banded", recording)
+    monkeypatch.setattr(_blas, "solve_banded", recording)
     grid.solve(mask0, mask1, parts)
     ((rows, _),) = shapes
     return rows - 1
@@ -538,20 +532,16 @@ class TestBandedSolve:
         return grid, parts < 0, cores, parts
 
     def test_failed_cholesky_raises_numerical_error(self, monkeypatch):
-        import scipy.linalg
-
         def not_positive_definite(*args, **kwargs):
             raise np.linalg.LinAlgError("4-th leading minor not positive definite")
 
-        monkeypatch.setattr(scipy.linalg, "solveh_banded", not_positive_definite)
+        monkeypatch.setattr(_blas, "solve_banded", not_positive_definite)
         with pytest.raises(NumericalError, match="not positive definite"):
             capacity.PolarGrid.solve(*self._blocks_system())
 
     def test_residual_guard(self, monkeypatch):
-        import scipy.linalg
-
-        solveh_banded = scipy.linalg.solveh_banded
-        monkeypatch.setattr(scipy.linalg, "solveh_banded", lambda *a, **k: solveh_banded(*a, **k) * (1.0 + 1e-6))
+        solve_banded = _blas.solve_banded
+        monkeypatch.setattr(_blas, "solve_banded", lambda *a, **k: solve_banded(*a, **k) * (1.0 + 1e-6))
         with pytest.raises(NumericalError, match="residual"):
             capacity.PolarGrid.solve(*self._blocks_system())
 
