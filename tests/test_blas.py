@@ -181,7 +181,7 @@ class TestSolveSymmetric:
 
 def _upper(a: np.ndarray) -> np.ndarray:
     """a's upper triangle in a Fortran-ordered copy, NaN below it (so a read of it shows)."""
-    held = np.asfortranarray(a, dtype=np.float64).copy(order="F")
+    held = np.array(a, dtype=np.float64, order="F")
     held[np.tril_indices(len(a), -1)] = np.nan
     return held
 
@@ -226,7 +226,8 @@ class TestSolveDefinite:
     def test_fallback_without_the_symbol(self, monkeypatch, n, nrhs):
         # where numpy's LAPACK lacks a routine, scipy's dpotrf and dpotrs run
         a = _symmetric(n, n, "definite")
-        b = np.asfortranarray(np.random.default_rng(n).standard_normal((n, nrhs))).reshape((n, nrhs)[:nrhs])
+        rng = np.random.default_rng(n)
+        b = rng.standard_normal(n) if nrhs == 1 else np.asfortranarray(rng.standard_normal((n, 2)))
         want = _blas.solve_definite(_upper(a), b.copy(order="F"))
         monkeypatch.setattr(_blas, "_routine", lambda name: None)
         assert np.array_equal(_blas.solve_definite(_upper(a), b), want)
