@@ -8,11 +8,17 @@ of this process's threads) of `capacity.grid_condenser_capacity` over
 the repeats (grid set-up, rasterization and solve, as criterion 07 and
 `disclab capacity grid` make them), the size of its boundary layer (the
 fixed nodes next to free ones, on which the capacitance matrix is built)
-in nodes and in rings, the share of the wall time spent in
-`PolarGrid._green`, the Green's matrix on the layer, and the peak RSS
-of a fresh interpreter that imports disclab and makes one solve, which
-counts everything, the interpreter and numpy (about 30 MB) included
-(see equilibrium_scaling.own_peak_rss_mb).
+in nodes and in rings, the median time per solve spent in
+`PolarGrid._green`, the Green's matrix on the layer, and its share of
+the wall time (both without the grid's `_modes`, which `_green` reads
+first and which the timer builds before it starts its clock), and the
+peak RSS of a fresh interpreter that imports disclab and makes one
+solve, which counts everything, the interpreter and numpy (about 30 MB)
+included (see equilibrium_scaling.own_peak_rss_mb).
+
+`_green` is one blocked GEMM over the modes' factors, so its cost grows
+with the layer's nodes squared times the modes (n_t), not with its
+rings squared times n_t log n_t as an inverse FFT per layer ring would.
 
     PYTHONPATH=src python3 scripts/condenser_scaling.py [--repeats 9]
 """
@@ -51,19 +57,20 @@ def criterion_07_configuration() -> tuple[DiscPoint, list[DiscPoint]]:
 
 
 class GreenTimer:
-    """Wraps PolarGrid._green, adding up its wall time and keeping the last layer it was given."""
+    """Wraps PolarGrid._green, keeping the wall time of each call after the grid's modes and the last layer."""
 
     def __init__(self):
-        self.seconds = 0.0
+        self.seconds = []
         self.layer = np.empty(0, dtype=np.int64)
         self.green = capacity.PolarGrid._green
 
     def __call__(self, grid, nodes):
+        grid._modes  # a cached property, built on the first read
         start = time.perf_counter()
         try:
             return self.green(grid, nodes)
         finally:
-            self.seconds += time.perf_counter() - start
+            self.seconds.append(time.perf_counter() - start)
             self.layer = nodes
 
 
@@ -94,14 +101,14 @@ def main():
         return
     timer = GreenTimer()
     capacity.PolarGrid._green = lambda grid, nodes: timer(grid, nodes)
-    header = f"{'plates':>6} {'grid':>8} {'layer':>6} {'rings':>6} {'wall ms':>8} {'cpu ms':>8} {'green %':>8}"
-    print(f"{header} {'RSS MB':>8}")
+    header = f"{'plates':>6} {'grid':>8} {'layer':>6} {'rings':>6} {'wall ms':>8} {'cpu ms':>8}"
+    print(f"{header} {'green ms':>8} {'green %':>8} {'RSS MB':>8}")
     try:
         for n_r, n_t in RESOLUTIONS:
             for name in PLATE_SETS:
                 spec = condenser(name)
                 capacity.grid_condenser_capacity(spec, (n_r, n_t))  # warm-up
-                timer.seconds = 0.0
+                timer.seconds = []
                 walls, cpus = [], []
                 for _ in range(args.repeats):
                     start, cpu = time.perf_counter(), time.process_time()
@@ -109,12 +116,13 @@ def main():
                     walls.append(time.perf_counter() - start)
                     cpus.append(time.process_time() - cpu)
                 rings = len(np.unique((timer.layer - 1) // n_t))
-                share = 100.0 * timer.seconds / sum(walls)
+                share = 100.0 * sum(timer.seconds) / sum(walls)
                 wall, cpu = 1e3 * statistics.median(walls), 1e3 * statistics.median(cpus)
+                green = 1e3 * statistics.median(timer.seconds)
                 grid = f"{n_r}x{n_t}"
                 rss = peak_rss_mb(name, n_r, n_t)
-                row = f"{name:>6} {grid:>8} {len(timer.layer):6d} {rings:6d} {wall:8.2f} {cpu:8.2f} {share:8.1f}"
-                print(f"{row} {rss:8.1f}")
+                row = f"{name:>6} {grid:>8} {len(timer.layer):6d} {rings:6d} {wall:8.2f} {cpu:8.2f}"
+                print(f"{row} {green:8.2f} {share:8.1f} {rss:8.1f}")
     finally:
         capacity.PolarGrid._green = timer.green
 

@@ -24,9 +24,13 @@ Comp. 30, 1976).  With the centre node grounded the grid operator is
 diagonal in the angular Fourier modes, one tridiagonal matrix over the
 rings per mode.  The plates enter only through the fixed nodes next to
 free ones, a few hundred at 128x256: the grounded Green's function on
-them, built from the modes by inverse FFTs, is Cholesky-factored for
-the charges that hold those nodes at their values, and one FFT, the
-tridiagonal solves and one inverse FFT give the field.  The rest of the
+them is Cholesky-factored for the charges that hold those nodes at their
+values, and one FFT, the tridiagonal solves and one inverse FFT give the
+field.  Each mode's inverse is semiseparable, a product of a factor of
+the row's ring and one of the column's, and so is each angular
+harmonic, so that Green's matrix is one blocked GEMM over n_t mode
+columns, accurate to about |log P| eps per entry for the products P of
+the modes' decay ratios (see PolarGrid._green).  The rest of the
 solve works on the ring nodes as one (ring, angle) array, where each
 edge family (angular, radial, the centre's spokes) is one slice or roll
 difference: the layer of fixed nodes next to free ones comes from the
@@ -50,8 +54,9 @@ it.  Rows cost in proportion to the live nodes, an interpolant's small
 supports, where the arrays cost in proportion to the whole grid.
 
 The dense and banded factorisations (the equilibrium LDL^T, the
-capacitance Cholesky, the banded Cholesky) run in numpy's own OpenBLAS,
-so no route here loads scipy, each on one BLAS thread, set for the
+capacitance Cholesky, the banded Cholesky) and the capacitance matrix's
+GEMMs run in numpy's own OpenBLAS, so no route here loads scipy, each
+on one BLAS thread, set for the
 calling thread for the duration of the call (see _blas).  At
 these sizes OpenBLAS's second thread pays too little.  After any solve
 of 128 rows or more its worker busy-waits about 120 ms for more work, so
@@ -99,6 +104,12 @@ _STRICT_LOWER = np.tri(_KERNEL_BLOCK, k=-1, dtype=bool)
 
 # largest residual of a grid solve, relative to each free node's conductance sum
 RESIDUAL_BOUND = 1e-10
+
+# columns of the capacitance matrix per GEMM; temporaries stay O(n_t * block)
+_GREEN_BLOCK = 128
+# largest log-range of a mode's P over the layer: each GEMM factor spans
+# half of it, and e^700 is below the float maximum e^709.8
+_GREEN_LOG_RANGE = 1400.0
 
 
 @dataclass(frozen=True)
@@ -486,31 +497,85 @@ class PolarGrid:
         """The grounded Green's matrix on the given ring nodes (increasing).
 
         Entry (a, b) is the value at a of the potential of a unit charge
-        at b with the centre node grounded.  Between nodes on rings k <= l
-        whose angle indices differ by d it is the inverse discrete
-        Fourier transform over the modes of T_m^{-1}[k, l] =
-        diag[m, l] times the product of rho[m, k..l-1].  The rings are
-        taken one at a time, outwards: the products from every inner ring
-        grow by one factor per ring, and one inverse real FFT gives the
-        transforms from all of them to this ring, so the memory stays
-        O(rings x n_t).  Only the upper triangle is filled, in a
-        Fortran-ordered array: LAPACK's upper triangle, factored in place.
+        at b with the centre node grounded.  T_m^{-1} is semiseparable
+        (Meurant, SIAM J. Matrix Anal. Appl. 13, 1992): on rings k <= l,
+        T_m^{-1}[k, l] = diag[m, l] P_m[l] / P_m[k], where P_m[k] is the
+        product of rho[m, i] over i < k.  For nodes a, b at angles
+        theta_a, theta_b on rings k_a <= k_b, G[a, b] is the inverse real
+        DFT over the modes, the sum over m of (w_m / n_t) cos(m (theta_a
+        - theta_b)) T_m^{-1}[k_a, k_b], with irfft's weights: w_m is 1 at
+        m = 0 and m = n_t / 2, 2 otherwise.  As cos(x - y) = cos x cos y
+        + sin x sin y, each term is a factor of a times one of b, so the
+        upper triangle is X Y^T for two arrays with a row per node and a
+        column per cos(m theta) and per sin(m theta), n_t columns in all
+        (no sin at m = 0 or n_t / 2, where it vanishes): X holds
+        (w_m / n_t) (s_m / P_m[k_a]) times cos(m theta_a) or
+        sin(m theta_a), Y holds diag[m, k_b] (P_m[k_b] / s_m) times
+        cos(m theta_b) or sin(m theta_b).  cos and sin are read from the
+        grid's table at (m j) mod n_t for angle index j.  That costs
+        O(nodes^2 n_t) multiply-adds in one BLAS GEMM per block, where
+        an inverse FFT per ring of the nodes would cost
+        O(rings^2 n_t log n_t) and fill far more entries than G has.
+
+        P_m comes from cumulative sums of log rho over the nodes' rings,
+        so each entry carries a relative error of about |log P| eps.  The
+        anchor s_m is the geometric midpoint of P_m over the nodes' rings,
+        so where a mode's log P spans r over them none of its factors
+        exceeds e^(r / 2); a NumericalError is raised where r exceeds
+        _GREEN_LOG_RANGE, past which a factor could overflow.
+
+        Only the upper block triangle is computed, one GEMM per column
+        block of _GREEN_BLOCK nodes, straight into a Fortran-ordered
+        array: LAPACK's upper triangle, factored in place.  The caller
+        holds one BLAS thread (see _blas.single_thread) for the GEMMs as
+        for the factorisation.  Y and the
+        block's rows of X are built block by block, so the temporaries
+        are O(n_t x block) besides X.  Below the diagonal blocks the array
+        holds zeros; a diagonal block's strict lower triangle holds values
+        that are not G's, which LAPACK does not read.
         """
         _, rho, diag = self._modes
-        n_t = self.n_t
+        n_t, n = self.n_t, len(nodes)
+        green = np.zeros((n, n), order="F")
+        if not n:
+            return green
+        n_cos, n_sin = len(rho), (n_t - 1) // 2
         k, j = np.divmod(nodes - 1, n_t)
-        rings, first, ring_of = np.unique(k, return_index=True, return_inverse=True)
-        ends = np.append(first[1:], len(nodes))
-        green = np.zeros((len(nodes), len(nodes)), order="F")
-        # row a: the product of rho from the a-th ring of the nodes to this one
-        column = np.empty((len(rings), len(rho)))
-        for r, ring in enumerate(rings):
-            if r:
-                column[:r] *= rho[:, rings[r - 1] : ring].prod(axis=1)
-            column[r] = 1.0
-            h = np.fft.irfft(column[: r + 1] * diag[:, ring], n_t, axis=1)
-            e, cols = ends[r], slice(first[r], ends[r])
-            green[:e, cols] = h[ring_of[:e, None], (j[:e, None] - j[None, cols]) % n_t]
+        k0 = k[0]
+        # log P_m on rings k0..k[-1], one row per ring, relative to ring k0; it falls outwards
+        log_p = np.zeros((k[-1] - k0 + 1, n_cos))
+        np.cumsum(np.log(rho[:, k0 : k[-1]].T), axis=0, out=log_p[1:])
+        spread = -log_p[-1]
+        if spread.max() > _GREEN_LOG_RANGE:
+            raise NumericalError(
+                f"mode {spread.argmax()}'s log-range {spread.max():.4g} over the layer's rings exceeds"
+                f" {_GREEN_LOG_RANGE:g}, the most the capacitance matrix's factors can span"
+            )
+        log_p += 0.5 * spread
+        m = np.arange(n_cos)
+        weights = np.where((m == 0) | (2 * m == n_t), 1.0, 2.0) / n_t
+        x_ring = weights * np.exp(-log_p)
+        y_ring = diag[:, k0 : k[-1] + 1].T * np.exp(log_p)
+        # the columns at each angle index the nodes use, read from the tables at (m j) mod n_t
+        angles, angle_of = np.unique(j, return_inverse=True)
+        turns = angles[:, None] * m % n_t
+        basis = np.concatenate([np.cos(self.thetas)[turns], np.sin(self.thetas)[turns[:, 1 : n_sin + 1]]], axis=1)
+
+        def scale(rows, by_mode, out):
+            """rows times a factor per mode into out: the cos columns (m = 0..) and the sin columns (m = 1..)."""
+            np.multiply(rows[:, :n_cos], by_mode, out=out[:, :n_cos])
+            np.multiply(rows[:, n_cos:], by_mode[:, 1 : n_sin + 1], out=out[:, n_cos:])
+
+        x = np.empty((n, n_t))
+        for c0 in range(0, n, _GREEN_BLOCK):
+            c1 = min(c0 + _GREEN_BLOCK, n)
+            ring = k[c0:c1] - k0
+            y = basis[angle_of[c0:c1]]
+            scale(y, x_ring[ring], x[c0:c1])
+            scale(y, y_ring[ring], y)
+            # a diagonal block's lower triangle, not G's, can overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(y, x[:c1].T, out=green[:c1, c0:c1].T)
         return green
 
     def _radial_solve(self, rhs: np.ndarray) -> np.ndarray:

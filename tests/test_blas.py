@@ -99,6 +99,24 @@ def test_no_idle_spin_after_equilibrium_solve():
     assert float(cpu) < 0.010
 
 
+def test_no_idle_spin_after_grid_solve():
+    # the capacitance matrix's GEMMs and its Cholesky factorisation on a layer of
+    # three column blocks would each leave the worker busy-waiting; the same 0.25 s
+    # settling sleep as above
+    spec = "capacity.CondenserSpec(unit_hyperbolic_disc(DiscPoint(1.0, 0.08)), [carleson_box(DiscPoint(2.2, 0.02))])"
+    code = (
+        "import time; from disclab import capacity; "
+        "from disclab.geometry import DiscPoint, carleson_box, unit_hyperbolic_disc; "
+        f"time.sleep(0.25); spec = {spec}; pot = capacity.grid_condenser_capacity(spec, (128, 256)); "
+        "start = time.process_time(); time.sleep(0.05); cpu = time.process_time() - start; "
+        "fixed = pot.grid.rasterize(spec.plate_inner) | pot.grid.rasterize(spec.plate_outer[0]); "
+        "print(len(pot.grid._layer(~fixed)), cpu)"
+    )
+    layer, cpu = _run(code).split()
+    assert int(layer) > 2 * capacity._GREEN_BLOCK
+    assert float(cpu) < 0.010
+
+
 def _symmetric(n: int, seed: int, kind: str) -> np.ndarray:
     g = np.random.default_rng(seed).standard_normal((n, n))
     if kind == "definite":

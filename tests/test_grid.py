@@ -271,6 +271,14 @@ def _union(grid, plates):
     return mask
 
 
+def _check_green(grid, nodes):
+    """grid._green on the nodes against the refined dense inverse of the grounded Laplacian, on and above the diagonal."""
+    want = grid_oracle.green(grid, nodes)
+    green = grid._green(nodes)
+    assert green.shape == want.shape and green.flags.f_contiguous
+    assert np.abs(np.triu(green) - np.triu(want)).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestCapacitanceSolve:
     @settings(max_examples=300)
     @given(condensers())
@@ -325,13 +333,77 @@ class TestCapacitanceSolve:
                 scale = np.bincount(heads, weights=g * (np.abs(w[heads]) + np.abs(w[tails]))).max()
                 assert np.abs(rows - np.outer(y, profile).ravel()).max() <= 1e-13 * scale
 
-    @pytest.mark.parametrize("shape", [(8, 16, 0.5), (12, 25, 0.01)])
-    def test_green_is_the_grounded_inverse(self, shape):
+    @pytest.mark.parametrize(
+        "shape, pick",
+        [
+            ((8, 16, 0.5), "random"),
+            ((12, 25, 0.01), "random"),  # odd n_t: no Nyquist mode, weight 2 from m = 1 on
+            ((16, 32, 1e-6), "random"),  # strongly graded
+            ((13, 27, 1e-6), "random"),
+            ((24, 48, 1e-3), "more than two blocks"),
+            ((16, 33, 1e-3), "first and last rings"),
+            ((16, 32, 1e-3), "one node"),
+        ],
+    )
+    def test_green_is_the_grounded_inverse(self, shape, pick):
         grid = capacity.PolarGrid(*shape)
-        inverse = np.linalg.inv(grid_oracle.laplacian(grid)[1:, 1:].toarray())
-        nodes = np.unique(np.random.default_rng(1).choice(np.arange(1, grid.n_nodes), size=40))
+        n_t, n_nodes = grid.n_t, grid.n_nodes
+        draw = np.random.default_rng(1).choice
+        nodes = {
+            "random": lambda: np.unique(draw(np.arange(1, n_nodes), size=40)),
+            "more than two blocks": lambda: np.sort(
+                draw(np.arange(1, n_nodes), size=2 * capacity._GREEN_BLOCK + 40, replace=False)
+            ),
+            "first and last rings": lambda: np.r_[1 : n_t + 1, n_nodes - n_t : n_nodes],
+            "one node": lambda: np.array([n_t + 3]),
+        }[pick]()
+        _check_green(grid, nodes)
+
+    @given(
+        st.builds(
+            capacity.PolarGrid,
+            st.integers(4, 16),
+            st.integers(8, 40),
+            st.floats(math.log(1e-6), math.log(0.5)).map(math.exp),
+        ),
+        st.data(),
+    )
+    def test_green_on_drawn_nodes(self, grid, data):
+        # any share of the ring nodes, so that some sets cross block edges
+        share = data.draw(st.floats(0.0, 1.0))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        nodes = 1 + np.flatnonzero(np.random.default_rng(seed).random(grid.n_nodes - 1) < share)
+        nodes = np.union1d(nodes, data.draw(st.integers(1, grid.n_nodes - 1)))
+        _check_green(grid, nodes)
+
+    @pytest.mark.parametrize("over", [False, True])
+    def test_log_range_guard(self, over):
+        # every ring's decay ratio scaled by one factor, so the layer's log P
+        # spans just under or just over the limit in its widest mode
+        grid, mask0, mask1 = self._condenser()
+        layer = grid._layer(~(mask0 | mask1))
+        pivots, rho, diag = grid._modes
+        k0, k1 = (layer[[0, -1]] - 1) // grid.n_t
+        spread = -np.log(rho[:, k0:k1]).sum(axis=1).max()
+        target = capacity._GREEN_LOG_RANGE * (1.01 if over else 0.99)
+        rho = rho * math.exp((spread - target) / (k1 - k0))
+        grid.__dict__["_modes"] = (pivots, rho, diag)
+        if over:
+            with pytest.raises(NumericalError, match=f"exceeds {capacity._GREEN_LOG_RANGE:g}"):
+                grid.solve(mask0, mask1)
+            return
+        # no factor overflows: the entries are the plain sum over the modes,
+        # each ratio P_m[k_b] / P_m[k_a] at most 1 for rings k_a <= k_b
+        nodes = np.union1d(layer[:: len(layer) // 40], layer[-1])
+        k, j = np.divmod(nodes - 1, grid.n_t)
+        log_p = np.concatenate([np.zeros((len(rho), 1)), np.cumsum(np.log(rho), axis=1)], axis=1)
+        m = np.arange(len(rho))[:, None, None]
+        weights = np.where((m == 0) | (2 * m == grid.n_t), 1.0, 2.0) / grid.n_t
+        ratio = np.exp(np.minimum(log_p[:, None, k] - log_p[:, k, None], 0.0))
+        want = (weights * np.cos(m * (j[:, None] - j) * grid.dtheta) * diag[:, None, k] * ratio).sum(axis=0)
         green = grid._green(nodes)
-        want = inverse[np.ix_(nodes - 1, nodes - 1)]
+        assert np.isfinite(np.triu(green)).all()
+        # both sum logs over up to 1400 in magnitude: about 1400 eps = 3e-13 relative apart
         assert np.abs(np.triu(green) - np.triu(want)).max() <= 1e-12 * np.abs(want).max()
 
     def _condenser(self):
