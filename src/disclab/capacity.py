@@ -56,9 +56,9 @@ supports, where the arrays cost in proportion to the whole grid.
 The dense and banded factorisations (the equilibrium LDL^T, the
 capacitance Cholesky, the banded Cholesky) and the capacitance matrix's
 GEMMs run in numpy's own OpenBLAS, so no route here loads scipy, each
-on one BLAS thread, set for the
-calling thread for the duration of the call (see _blas).  At
-these sizes OpenBLAS's second thread pays too little.  After any solve
+on one BLAS thread, set for the calling thread for the duration of the
+call (see _blas).  At these sizes OpenBLAS's second thread pays too
+little.  After any solve
 of 128 rows or more its worker busy-waits about 120 ms for more work, so
 in a loop of solves it never sleeps and the CPU time doubles; and of 300
 back-to-back threaded solves of 128 rows, 6 stalled for up to 116 ms,
@@ -528,9 +528,9 @@ class PolarGrid:
         block of _GREEN_BLOCK nodes, straight into a Fortran-ordered
         array: LAPACK's upper triangle, factored in place.  The caller
         holds one BLAS thread (see _blas.single_thread) for the GEMMs as
-        for the factorisation.  Y and the
-        block's rows of X are built block by block, so the temporaries
-        are O(n_t x block) besides X.  Below the diagonal blocks the array
+        for the factorisation.  Y and the block's rows of X are built
+        block by block, so the temporaries are O(n_t x block) besides X.
+        Below the diagonal blocks the array
         holds zeros; a diagonal block's strict lower triangle holds values
         that are not G's, which LAPACK does not read.
         """

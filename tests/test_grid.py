@@ -334,25 +334,35 @@ class TestCapacitanceSolve:
                 assert np.abs(rows - np.outer(y, profile).ravel()).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize(
+        "shape",
+        [
+            (8, 16, 0.5),
+            (12, 25, 0.01),  # odd n_t: no Nyquist mode, weight 2 from m = 1 on
+            (16, 32, 1e-6),  # strongly graded
+            (13, 27, 1e-6),
+        ],
+    )
+    def test_green_is_the_grounded_inverse(self, shape):
+        grid = capacity.PolarGrid(*shape)
+        nodes = np.unique(np.random.default_rng(1).choice(np.arange(1, grid.n_nodes), size=40))
+        _check_green(grid, nodes)
+
+    @pytest.mark.parametrize(
         "shape, pick",
         [
-            ((8, 16, 0.5), "random"),
-            ((12, 25, 0.01), "random"),  # odd n_t: no Nyquist mode, weight 2 from m = 1 on
-            ((16, 32, 1e-6), "random"),  # strongly graded
-            ((13, 27, 1e-6), "random"),
             ((24, 48, 1e-3), "more than two blocks"),
             ((16, 33, 1e-3), "first and last rings"),
             ((16, 32, 1e-3), "one node"),
         ],
     )
-    def test_green_is_the_grounded_inverse(self, shape, pick):
+    def test_green_on_chosen_nodes(self, shape, pick):
         grid = capacity.PolarGrid(*shape)
         n_t, n_nodes = grid.n_t, grid.n_nodes
-        draw = np.random.default_rng(1).choice
         nodes = {
-            "random": lambda: np.unique(draw(np.arange(1, n_nodes), size=40)),
             "more than two blocks": lambda: np.sort(
-                draw(np.arange(1, n_nodes), size=2 * capacity._GREEN_BLOCK + 40, replace=False)
+                np.random.default_rng(1).choice(
+                    np.arange(1, n_nodes), size=2 * capacity._GREEN_BLOCK + 40, replace=False
+                )
             ),
             "first and last rings": lambda: np.r_[1 : n_t + 1, n_nodes - n_t : n_nodes],
             "one node": lambda: np.array([n_t + 3]),
