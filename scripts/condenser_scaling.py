@@ -74,10 +74,10 @@ class GreenTimer:
             self.layer = nodes
 
 
-def condenser(name: str) -> capacity.CondenserSpec:
-    """The condenser from the configuration's unit disc around z to its points' plates of one kind."""
+def condenser(name: str) -> tuple[geometry.HyperbolicDisc, list]:
+    """The plates from the configuration's unit disc around z to its points' plates of one kind."""
     z, points = criterion_07_configuration()
-    return capacity.CondenserSpec(geometry.unit_hyperbolic_disc(z), [PLATE_SETS[name](p) for p in points])
+    return geometry.unit_hyperbolic_disc(z), [PLATE_SETS[name](p) for p in points]
 
 
 def peak_rss_mb(name: str, n_r: int, n_t: int) -> float:
@@ -96,7 +96,7 @@ def main():
     args = parser.parse_args()
     if args.one_solve is not None:
         name, n_r, n_t = args.one_solve
-        capacity.grid_condenser_capacity(condenser(name), (int(n_r), int(n_t)))
+        capacity.grid_condenser_capacity(*condenser(name), (int(n_r), int(n_t)))
         print(own_peak_rss_mb())
         return
     timer = GreenTimer()
@@ -106,13 +106,13 @@ def main():
     try:
         for n_r, n_t in RESOLUTIONS:
             for name in PLATE_SETS:
-                spec = condenser(name)
-                capacity.grid_condenser_capacity(spec, (n_r, n_t))  # warm-up
+                plates = condenser(name)
+                capacity.grid_condenser_capacity(*plates, (n_r, n_t))  # warm-up
                 timer.seconds = []
                 walls, cpus = [], []
                 for _ in range(args.repeats):
                     start, cpu = time.perf_counter(), time.process_time()
-                    capacity.grid_condenser_capacity(spec, (n_r, n_t))
+                    capacity.grid_condenser_capacity(*plates, (n_r, n_t))
                     walls.append(time.perf_counter() - start)
                     cpus.append(time.process_time() - cpu)
                 rings = len(np.unique((timer.layer - 1) // n_t))

@@ -181,18 +181,18 @@ def solve_definite(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a is a Fortran-ordered float64 square array whose upper triangle,
     diagonal included, is A's; it is overwritten with the Cholesky
     factor U of A = U^T U, and the strict lower triangle is not read.
-    b is an n-vector or a Fortran-ordered n x k array of right-hand
-    sides, overwritten with x, which is returned.  Raises
-    np.linalg.LinAlgError where A is not positive definite.
+    b is a Fortran-ordered n x k array of right-hand sides, overwritten
+    with x, which is returned.  Raises np.linalg.LinAlgError where A is
+    not positive definite.
     """
-    n, nrhs = len(b), b.shape[1] if b.ndim == 2 else 1
-    pa, pb = _pointer(a, (n, n), "F"), _pointer(b, (n, nrhs)[: b.ndim], "F")
+    n, nrhs = len(a), b.shape[-1]
+    pa, pb = _pointer(a, (n, n), "F"), _pointer(b, (n, nrhs), "F")
     if _routine("dpotrf") is None or _routine("dpotrs") is None:
         from scipy.linalg import lapack
 
         _, info = lapack.dpotrf(a, overwrite_a=True, clean=False)
         if info == 0 and n:
-            lapack.dpotrs(a, b.reshape(n, nrhs, order="F"), overwrite_b=True)
+            lapack.dpotrs(a, b, overwrite_b=True)
     else:
         ld = max(1, n)
         info = _call("dpotrf", b"U", n, pa, ld)

@@ -24,14 +24,15 @@ Comp. 30, 1976).  With the centre node grounded the grid operator is
 diagonal in the angular Fourier modes, one tridiagonal matrix over the
 rings per mode.  The plates enter only through the fixed nodes next to
 free ones, a few hundred at 128x256: the grounded Green's function on
-them is Cholesky-factored for the charges that hold those nodes at their
-values, and one FFT, the tridiagonal solves and one inverse FFT give the
-field.  Each mode's inverse is semiseparable, a product of a factor of
-the row's ring and one of the column's, and so is each angular
-harmonic, so that Green's matrix is one blocked GEMM over n_t mode
-columns, accurate to about |log P| eps per entry for the products P of
-the modes' decay ratios (see PolarGrid._green).  The rest of the
-solve works on the ring nodes as one (ring, angle) array, where each
+them is Cholesky-factored and solved once, for those nodes' values and
+for a column of ones, which gives the charges that hold the nodes at
+their values whether the centre node is fixed or free.  One FFT, the
+tridiagonal solves and one inverse FFT give the field.  Each mode's
+inverse is semiseparable, a product of a factor of the row's ring and
+one of the column's, and so is each angular harmonic, so that Green's
+matrix is one blocked GEMM over n_t mode columns, accurate to about
+|log P| eps per entry for the products P of the modes' decay ratios
+(see PolarGrid._green).  The rest of the solve works on the ring nodes as one (ring, angle) array, where each
 edge family (angular, radial, the centre's spokes) is one slice or roll
 difference: the layer of fixed nodes next to free ones comes from the
 free mask shifted one step each way, and the residual every free node
@@ -105,6 +106,9 @@ _STRICT_LOWER = np.tri(_KERNEL_BLOCK, k=-1, dtype=bool)
 # largest residual of a grid solve, relative to each free node's conductance sum
 RESIDUAL_BOUND = 1e-10
 
+# fewest grid nodes a rasterized plate may cover
+MIN_PLATE_CELLS = 4
+
 # columns of the capacitance matrix per GEMM; temporaries stay O(n_t * block)
 _GREEN_BLOCK = 128
 # largest log-range of a mode's P over the layer: each GEMM factor spans
@@ -119,12 +123,6 @@ class EquilibriumMeasure:
     nodes: np.ndarray  # boundary angles
     weights: np.ndarray  # nonnegative, sums to 1
     energy: float
-
-
-@dataclass(frozen=True)
-class CondenserSpec:
-    plate_inner: HyperbolicDisc
-    plate_outer: list  # arcs, boxes or hyperbolic discs
 
 
 @dataclass(frozen=True)
@@ -415,12 +413,13 @@ class PolarGrid:
         """Flat indices of the nodes on rings k0..k1-1 at the given angle indices."""
         return (1 + np.arange(k0, k1)[:, None] * self.n_t + cols).ravel()
 
-    def rasterize(self, plate, name: str = "plate", min_cells: int = 4) -> np.ndarray:
+    def rasterize(self, plate, name: str = "plate") -> np.ndarray:
         """Mask of the grid nodes inside a plate.
 
         Only a window of rings and angles around the plate is tested, so
         the cost follows the plate's size, not the grid's; the test on
-        each candidate node is the full-grid one.
+        each candidate node is the full-grid one.  A ResolutionError is
+        raised where the plate covers fewer than MIN_PLATE_CELLS nodes.
         """
         mask = np.zeros(self.n_nodes, dtype=bool)
         if isinstance(plate, Arc):  # the box over the arc at inner radius 1: its last-ring nodes
@@ -446,10 +445,8 @@ class PolarGrid:
         else:
             raise DomainError(f"unsupported plate type: {type(plate).__name__}")
         cells = int(np.count_nonzero(mask))
-        if cells < min_cells:
-            raise ResolutionError(
-                f"{name} covers only {cells} grid cells (< {min_cells}); refine the grid"
-            )
+        if cells < MIN_PLATE_CELLS:
+            raise ResolutionError(f"{name} covers only {cells} grid cells (< {MIN_PLATE_CELLS}); refine the grid")
         return mask
 
     @functools.cached_property
@@ -513,9 +510,7 @@ class PolarGrid:
         sin(m theta_a), Y holds diag[m, k_b] (P_m[k_b] / s_m) times
         cos(m theta_b) or sin(m theta_b).  cos and sin are read from the
         grid's table at (m j) mod n_t for angle index j.  That costs
-        O(nodes^2 n_t) multiply-adds in one BLAS GEMM per block, where
-        an inverse FFT per ring of the nodes would cost
-        O(rings^2 n_t log n_t) and fill far more entries than G has.
+        O(nodes^2 n_t) multiply-adds in one BLAS GEMM per block.
 
         P_m comes from cumulative sums of log rho over the nodes' rings,
         so each entry carries a relative error of about |log P| eps.  The
@@ -646,31 +641,27 @@ class PolarGrid:
         every free ring node.  It takes u's values on the layer if G's
         block on the layer, the capacitance matrix, maps sigma to u - c
         there.  That block is a principal block of the inverse of the
-        grounded operator, so it is SPD and is Cholesky-factored.  When
-        the centre is fixed, c is its value: G grounds the centre, so
-        c + G sigma holds it at c.  When it is free, being harmonic there
-        means the charges sum to 0, which fixes c.  The field then comes
-        from one real FFT in angle, the tridiagonal solves over the rings
-        and one inverse FFT.  With only the centre fixed the layer is
-        empty, and so are the capacitance matrix and the charges: every
-        node takes the centre's value.  A free centre has a layer, as
-        solve refuses a grid with no node fixed.
+        grounded operator, so it is SPD, and one Cholesky solve with the
+        two columns u and 1 gives x0 and x1: sigma = x0 - c x1 for every
+        c.  When the centre is fixed, c is its value: G grounds the
+        centre, so c + G sigma holds it at c.  When it is free, being
+        harmonic there means the charges sum to 0, so c = sum(x0) /
+        sum(x1).  The field then comes from one real FFT in angle, the
+        tridiagonal solves over the rings and one inverse FFT.  With only
+        the centre fixed the layer is empty, and so are the capacitance
+        matrix and the charges: every node takes the centre's value.  A
+        free centre has a layer, as solve refuses a grid with no node
+        fixed.
         """
-        if free[0]:
-            rhs = np.ones((len(layer), 2), order="F")
-            rhs[:, 0] = u[layer]
-        else:
-            rhs = u[layer] - u[0]
+        rhs = np.ones((len(layer), 2), order="F")
+        rhs[:, 0] = u[layer]
         try:
             with _blas.single_thread():
-                x = _blas.solve_definite(self._green(layer), rhs)
+                x0, x1 = _blas.solve_definite(self._green(layer), rhs).T
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"capacitance matrix on {len(layer)} nodes not positive definite: {exc}") from exc
-        if free[0]:
-            c = x[:, 0].sum() / x[:, 1].sum()
-            charges = x[:, 0] - c * x[:, 1]
-        else:
-            c, charges = u[0], x
+        c = x0.sum() / x1.sum() if free[0] else u[0]
+        charges = x0 - c * x1
         f = np.zeros(self.n_nodes - 1)
         f[layer - 1] = charges
         modes = self._radial_solve(np.fft.rfft(f.reshape(self.n_rings, self.n_t), axis=1).T)
@@ -869,16 +860,12 @@ class GridPotential:
     values: np.ndarray
     energy: float
 
-    @property
-    def resolution(self) -> tuple[int, int]:
-        return (self.grid.n_r, self.grid.n_t)
 
-
-def _plate_min_depth(spec: CondenserSpec) -> float:
+def _plate_min_depth(inner: HyperbolicDisc, outer: list) -> float:
     depths = []
-    c, rad = spec.plate_inner.euclidean()
+    c, rad = inner.euclidean()
     depths.append(max(1.0 - (abs(c) + rad), 1e-6))
-    for t in spec.plate_outer:
+    for t in outer:
         if isinstance(t, Arc):
             depths.append(max(t.length / 4.0, 1e-6))
         elif isinstance(t, CarlesonBox):
@@ -891,13 +878,19 @@ def _plate_min_depth(spec: CondenserSpec) -> float:
     return min(0.5, min(depths) / 8.0)
 
 
-def grid_condenser_capacity(spec: CondenserSpec, resolution: tuple[int, int] = (96, 256)) -> GridPotential:
-    """Energy-minimizing grid potential for a condenser; energy ~ capacity."""
+def grid_condenser_capacity(
+    inner: HyperbolicDisc, outer: list, resolution: tuple[int, int] = (96, 256)
+) -> GridPotential:
+    """Energy-minimizing grid potential for a condenser; energy ~ capacity.
+
+    The plates are the disc inner at potential 0 and the outer ones, arcs,
+    boxes or hyperbolic discs, at potential 1.
+    """
     n_r, n_t = resolution
-    grid = PolarGrid(n_r, n_t, _plate_min_depth(spec))
-    mask0 = grid.rasterize(spec.plate_inner, "inner plate")
+    grid = PolarGrid(n_r, n_t, _plate_min_depth(inner, outer))
+    mask0 = grid.rasterize(inner, "inner plate")
     mask1 = np.zeros(grid.n_nodes, dtype=bool)
-    for i, t in enumerate(spec.plate_outer):
+    for i, t in enumerate(outer):
         mask1 |= grid.rasterize(t, f"outer plate #{i}")
     u, energy = grid.solve(mask0, mask1)
     return GridPotential(grid, u, energy)
@@ -919,7 +912,4 @@ def three_condenser_capacities(
         [geometry.unit_hyperbolic_disc(p) for p in points],
         [geometry.boundary_arc(p) for p in points],
     )
-    return tuple(
-        grid_condenser_capacity(CondenserSpec(inner, plates), resolution).energy
-        for plates in plate_sets
-    )
+    return tuple(grid_condenser_capacity(inner, plates, resolution).energy for plates in plate_sets)

@@ -217,10 +217,9 @@ def cmd_capacity(args) -> int:
         _emit({"capacity": result.value, "warnings": list(result.warnings)}, args)
         return EXIT_PASS
     # grid
-    condenser = capacity.CondenserSpec(disc, plates)
-    pot = capacity.grid_condenser_capacity(condenser, (args.grid_r, args.grid_t))
+    pot = capacity.grid_condenser_capacity(disc, plates, (args.grid_r, args.grid_t))
     refined = capacity.grid_condenser_capacity(
-        condenser, (args.grid_r + args.grid_r // 2, args.grid_t + args.grid_t // 2)
+        disc, plates, (args.grid_r + args.grid_r // 2, args.grid_t + args.grid_t // 2)
     )
     if args.csv:
         columns = (pot.grid.node_r.tolist(), pot.grid.node_t.tolist(), pot.values.tolist())
@@ -230,7 +229,7 @@ def cmd_capacity(args) -> int:
             "capacity": pot.energy,
             "refined_capacity": refined.energy,
             "refinement_delta": refined.energy - pot.energy,
-            "resolution": list(pot.resolution),
+            "resolution": [pot.grid.n_r, pot.grid.n_t],
         },
         args,
     )

@@ -316,7 +316,9 @@ def merge_arcs(arcs: list[Arc]) -> list[Arc]:
         return []
     merged = _merge_intervals(arcs)
     count = len(arcs)
-    while len(merged) < count:  # hulls can create fresh overlaps; iterate to a fixpoint
+    # a hull's ends round afresh, so at a touching end a hull can meet an arc
+    # that none of its members met in the float test; iterate to a fixpoint
+    while len(merged) < count:
         count = len(merged)
         merged = _merge_intervals(merged)
     if len(merged) == 1 and merged[0].length >= 1.0 - 1e-12:
@@ -365,7 +367,9 @@ def _merge_intervals(arcs: list[Arc]) -> list[Arc]:
 
     Groups are hulled in coordinates relative to a member arc, so very
     short arcs (lengths far below the float resolution of absolute
-    angles) survive with their lengths intact.
+    angles) survive with their lengths intact.  A group's union is cut at
+    the one gap it leaves, which a chain of arcs can put anywhere round
+    the circle, not only opposite the reference arc.
     """
     if any(a.is_full_circle() for a in arcs):
         return [Arc(0.0, 1.0)]
@@ -392,9 +396,28 @@ def _merge_intervals(arcs: list[Arc]) -> list[Arc]:
             out.append(members[0])
             continue
         ref = members[0].center_angle
-        lo = min(_signed_angle(a.center_angle - ref) - a.half_width for a in members)
-        hi = max(_signed_angle(a.center_angle - ref) + a.half_width for a in members)
-        if hi - lo >= TWO_PI:
+        spans = []
+        for a in members:
+            offset = _signed_angle(a.center_angle - ref)
+            spans.append((offset - a.half_width, offset + a.half_width))
+        # a group's union leaves out at most one gap of the circle.  On the
+        # turn from the first start (a member starting a turn on is taken a
+        # turn back) it is the widest between the running end and the next
+        # start, where the running end starts at the members' last end less
+        # a turn: their previous turn covers up to there, and the first gap
+        # is the one round the back.  The members before the gap go a turn up
+        first = min(s for s, _ in spans)
+        spans = sorted((s - TWO_PI, e - TWO_PI) if s >= first + TWO_PI else (s, e) for s, e in spans)
+        end = max(e for _, e in spans) - TWO_PI
+        widest, cut = -math.inf, first
+        for s, e in spans:
+            if s - end > widest:
+                widest, cut = s - end, s
+            end = max(end, e)
+        spans = [(s + TWO_PI, e + TWO_PI) if s < cut else (s, e) for s, e in spans]
+        lo = min(s for s, _ in spans)
+        hi = max(e for _, e in spans)
+        if widest <= 0.0 or hi - lo >= TWO_PI:
             return [Arc(0.0, 1.0)]
         out.append(Arc(ref + 0.5 * (lo + hi), (hi - lo) / TWO_PI))
     return sorted(out, key=lambda a: a.center_angle)

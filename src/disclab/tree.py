@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -50,8 +49,9 @@ class TreeNode:
             raise DomainError(f"level {self.n} too deep to embed in float coordinates")
         if self.n == 0:
             return geometry.ORIGIN
-        frac = Fraction(self.k % (2**self.n), 2**self.n)
-        return DiscPoint(2.0 * math.pi * float(frac), math.ldexp(1.0, -self.n))
+        # k mod 2^n rounds once to a float; scaling by 2^-n is exact at these levels
+        turn = math.ldexp(self.k % 2**self.n, -self.n)
+        return DiscPoint(2.0 * math.pi * turn, math.ldexp(1.0, -self.n))
 
 
 ROOT = TreeNode(0, 1)

@@ -2,8 +2,9 @@
 
 These are the scalar loops the array layer replaced: every pair goes
 through the scalar formulas of geometry_oracle, vicinities are rebuilt
-per point and arcs are merged by an all-pairs union-find.  They share
-no sweep, block or cached list with the library.
+per point and arcs are merged by an all-pairs union-find, each group
+cut at the uncovered interval found over all pairs.  They share no
+sweep, hull, block or cached list with the library.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import geometry_oracle
 from disclab import capacity, geometry, sequences
 from disclab.errors import DomainError, NumericalError
-from disclab.geometry import TWO_PI, Arc, _signed_angle
+from disclab.geometry import TWO_PI, Arc
 from disclab.sequences import Sequence
 
 
@@ -86,6 +87,39 @@ def capacitary_condition(seq: Sequence, gamma: float, budget: float = 64.0) -> s
     return sequences._finish("capacitary_condition", records, {"K": budget}, budget, warnings)
 
 
+def _hull(members: list[Arc]) -> Arc | None:
+    """The union of a group of meeting arcs as one arc, or None where it is the circle.
+
+    Each member is an interval relative to the first member's center, so
+    very short arcs keep their lengths.  The interval past an end that is
+    widest before some member starts again, taken over every pair and
+    every turn, is left uncovered; the circle is cut at its midpoint and
+    every member lifted by whole turns to end before the cut, and the
+    hull of those intervals is the union.  If no end is followed by such
+    an interval, every point is covered.
+    """
+    ref = members[0].center_angle
+    spans = []
+    for a in members:
+        offset = math.remainder(a.center_angle - ref, TWO_PI)
+        spans.append((offset - a.half_width, offset + a.half_width))
+    best, cut = 0.0, None
+    for _, end in spans:
+        gap = min(s + k * TWO_PI - end for s, e in spans for k in range(-3, 4) if e + k * TWO_PI > end)
+        if gap > best:
+            best, cut = gap, end + 0.5 * gap
+    if cut is None:
+        return None
+    lifted = []
+    for s, e in spans:
+        turns = math.floor((cut - e) / TWO_PI) * TWO_PI
+        lifted.append((s + turns, e + turns))
+    lo, hi = min(s for s, _ in lifted), max(e for _, e in lifted)
+    if hi - lo >= TWO_PI:
+        return None
+    return Arc(ref + 0.5 * (lo + hi), (hi - lo) / TWO_PI)
+
+
 def _merge_intervals(arcs: list[Arc]) -> list[Arc]:
     if any(a.is_full_circle() for a in arcs):
         return [Arc(0.0, 1.0)]
@@ -107,15 +141,10 @@ def _merge_intervals(arcs: list[Arc]) -> list[Arc]:
         clusters.setdefault(find(i), []).append(a)
     out = []
     for members in clusters.values():
-        if len(members) == 1:
-            out.append(members[0])
-            continue
-        ref = members[0].center_angle
-        lo = min(_signed_angle(a.center_angle - ref) - a.half_width for a in members)
-        hi = max(_signed_angle(a.center_angle - ref) + a.half_width for a in members)
-        if hi - lo >= TWO_PI:
+        hull = members[0] if len(members) == 1 else _hull(members)
+        if hull is None:
             return [Arc(0.0, 1.0)]
-        out.append(Arc(ref + 0.5 * (lo + hi), (hi - lo) / TWO_PI))
+        out.append(hull)
     return sorted(out, key=lambda a: a.center_angle)
 
 

@@ -200,12 +200,10 @@ def test_criterion_07_condenser_comparability(capsys):
 
 def test_criterion_08_annulus_benchmark(capsys):
     inner_r = 0.3
-    spec = capacity.CondenserSpec(
-        geometry.HyperbolicDisc(ORIGIN, math.atanh(inner_r)), [Arc(0.0, 1.0)]
-    )
+    plates = geometry.HyperbolicDisc(ORIGIN, math.atanh(inner_r)), [Arc(0.0, 1.0)]
     exact = 2.0 * math.pi / math.log(1.0 / inner_r)
-    coarse = capacity.grid_condenser_capacity(spec, (48, 96)).energy
-    fine = capacity.grid_condenser_capacity(spec, (96, 192)).energy
+    coarse = capacity.grid_condenser_capacity(*plates, (48, 96)).energy
+    fine = capacity.grid_condenser_capacity(*plates, (96, 192)).energy
     rel = abs(fine - exact) / exact
     ok = rel < 0.15 and abs(fine - exact) <= abs(coarse - exact)
     announce(
@@ -226,10 +224,9 @@ def test_criterion_09_equilibrium_potential_level(capsys):
         depth = rng.uniform(0.005, 0.03)
         w = DiscPoint(rng.uniform(0.0, 2.0 * math.pi), depth)
         assert geometry_oracle.hyperbolic_distance(ORIGIN, w) > 2.0
-        spec = capacity.CondenserSpec(
-            geometry.unit_hyperbolic_disc(ORIGIN), [geometry.unit_hyperbolic_disc(w)]
+        pot = capacity.grid_condenser_capacity(
+            geometry.unit_hyperbolic_disc(ORIGIN), [geometry.unit_hyperbolic_disc(w)], (128, 384)
         )
-        pot = capacity.grid_condenser_capacity(spec, (128, 384))
         grid = pot.grid
         x = grid.node_r * np.exp(1j * grid.node_t)
         rho_w = np.abs(x - w.z) / np.abs(1.0 - np.conj(w.z) * x)

@@ -103,13 +103,14 @@ def test_no_idle_spin_after_grid_solve():
     # the capacitance matrix's GEMMs and its Cholesky factorisation on a layer of
     # three column blocks would each leave the worker busy-waiting; the same 0.25 s
     # settling sleep as above
-    spec = "capacity.CondenserSpec(unit_hyperbolic_disc(DiscPoint(1.0, 0.08)), [carleson_box(DiscPoint(2.2, 0.02))])"
+    plates = "unit_hyperbolic_disc(DiscPoint(1.0, 0.08)), carleson_box(DiscPoint(2.2, 0.02))"
     code = (
         "import time; from disclab import capacity; "
         "from disclab.geometry import DiscPoint, carleson_box, unit_hyperbolic_disc; "
-        f"time.sleep(0.25); spec = {spec}; pot = capacity.grid_condenser_capacity(spec, (128, 256)); "
+        f"time.sleep(0.25); inner, outer = {plates}; "
+        "pot = capacity.grid_condenser_capacity(inner, [outer], (128, 256)); "
         "start = time.process_time(); time.sleep(0.05); cpu = time.process_time() - start; "
-        "fixed = pot.grid.rasterize(spec.plate_inner) | pot.grid.rasterize(spec.plate_outer[0]); "
+        "fixed = pot.grid.rasterize(inner) | pot.grid.rasterize(outer); "
         "print(len(pot.grid._layer(~fixed)), cpu)"
     )
     layer, cpu = _run(code).split()
@@ -212,8 +213,7 @@ class TestSolveDefinite:
         import scipy.linalg
 
         a = _symmetric(n, seed, "definite")
-        rng = np.random.default_rng(seed + 1)
-        b = rng.standard_normal(n) if nrhs == 1 else np.asfortranarray(rng.standard_normal((n, 2)))
+        b = np.asfortranarray(np.random.default_rng(seed + 1).standard_normal((n, nrhs)))
         want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), b)
         x = _blas.solve_definite(_upper(a), b)
         assert x is b
@@ -222,35 +222,39 @@ class TestSolveDefinite:
     @pytest.mark.parametrize("n", [2, 65, 200])
     def test_indefinite_raises(self, n):
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-            _blas.solve_definite(_upper(_symmetric(n, n, "indefinite")), np.ones(n))
+            _blas.solve_definite(_upper(_symmetric(n, n, "indefinite")), np.ones((n, 1), order="F"))
 
     def test_rejects_wrong_layout(self):
         a = _symmetric(3, 0, "definite")
+        b = np.ones((3, 2), order="F")
         with pytest.raises(ValueError):
-            _blas.solve_definite(np.ascontiguousarray(a), np.ones(3))
+            _blas.solve_definite(np.ascontiguousarray(a), b)
         with pytest.raises(ValueError):
-            _blas.solve_definite(np.asfortranarray(a, dtype=np.float32), np.ones(3))
+            _blas.solve_definite(np.asfortranarray(a, dtype=np.float32), b)
         with pytest.raises(ValueError):
             _blas.solve_definite(np.asfortranarray(a), np.ones((3, 2)))
         with pytest.raises(ValueError):
-            _blas.solve_definite(np.asfortranarray(a), np.ones(4))
+            _blas.solve_definite(np.asfortranarray(a), np.ones((4, 2), order="F"))
+        with pytest.raises(ValueError):  # a vector is no n x k array
+            _blas.solve_definite(np.asfortranarray(a), np.ones(3))
         read_only = np.asfortranarray(a)
         read_only.flags.writeable = False
         with pytest.raises(ValueError):
-            _blas.solve_definite(read_only, np.ones(3))
+            _blas.solve_definite(read_only, b)
 
     @pytest.mark.parametrize("nrhs", [1, 2])
     @pytest.mark.parametrize("n", [0, 1, 65, 200])
     def test_fallback_without_the_symbol(self, monkeypatch, n, nrhs):
         # where numpy's LAPACK lacks a routine, scipy's dpotrf and dpotrs run
         a = _symmetric(n, n, "definite")
-        rng = np.random.default_rng(n)
-        b = rng.standard_normal(n) if nrhs == 1 else np.asfortranarray(rng.standard_normal((n, 2)))
+        b = np.asfortranarray(np.random.default_rng(n).standard_normal((n, nrhs)))
         want = _blas.solve_definite(_upper(a), b.copy(order="F"))
         monkeypatch.setattr(_blas, "_routine", lambda name: None)
-        assert np.array_equal(_blas.solve_definite(_upper(a), b), want)
+        x = _blas.solve_definite(_upper(a), b)
+        assert x is b
+        assert np.array_equal(x, want)
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-            _blas.solve_definite(_upper(np.diag([1.0, -1.0, 1.0])), np.ones(3))
+            _blas.solve_definite(_upper(np.diag([1.0, -1.0, 1.0])), np.ones((3, 1), order="F"))
 
 
 def _band(n: int, kd: int, seed: int, definite: bool = True) -> np.ndarray:

@@ -204,21 +204,16 @@ class TestCondenserCapacity:
 class TestPolarGrid:
     def test_annulus_benchmark(self):
         inner_r = 0.3
-        spec = capacity.CondenserSpec(
-            geometry.HyperbolicDisc(ORIGIN, math.atanh(inner_r)), [Arc(0.0, 1.0)]
-        )
+        plates = geometry.HyperbolicDisc(ORIGIN, math.atanh(inner_r)), [Arc(0.0, 1.0)]
         exact = 2.0 * math.pi / math.log(1.0 / inner_r)
-        coarse = capacity.grid_condenser_capacity(spec, (48, 96)).energy
-        fine = capacity.grid_condenser_capacity(spec, (96, 192)).energy
+        coarse = capacity.grid_condenser_capacity(*plates, (48, 96)).energy
+        fine = capacity.grid_condenser_capacity(*plates, (96, 192)).energy
         assert abs(fine - exact) / exact < 0.15
         assert abs(fine - exact) <= abs(coarse - exact)
 
     def test_equal_plates_zero(self):
-        spec = capacity.CondenserSpec(
-            geometry.HyperbolicDisc(ORIGIN, 1.0),
-            [geometry.HyperbolicDisc(ORIGIN, 1.0)],
-        )
-        assert capacity.grid_condenser_capacity(spec, (16, 16)).energy == 0.0
+        disc = geometry.HyperbolicDisc(ORIGIN, 1.0)
+        assert capacity.grid_condenser_capacity(disc, [disc], (16, 16)).energy == 0.0
 
     def test_unresolved_plate_raises(self):
         grid = capacity.PolarGrid(16, 16, 0.1)
@@ -227,10 +222,9 @@ class TestPolarGrid:
 
     def test_values_between_plates(self):
         z = DiscPoint(math.pi, 0.05)
-        spec = capacity.CondenserSpec(
-            geometry.unit_hyperbolic_disc(ORIGIN), [geometry.boundary_arc(z)]
+        pot = capacity.grid_condenser_capacity(
+            geometry.unit_hyperbolic_disc(ORIGIN), [geometry.boundary_arc(z)], (48, 128)
         )
-        pot = capacity.grid_condenser_capacity(spec, (48, 128))
         assert pot.values.min() >= -1e-12
         assert pot.values.max() <= 1.0 + 1e-12
 
@@ -250,8 +244,7 @@ class TestPolarGrid:
         argv = ["capacity", "grid", str(spec_path), "--grid-r", "16", "--grid-t", "32", "--csv", str(path)]
         assert cli.main(argv) == 0
         capsys.readouterr()
-        spec = capacity.CondenserSpec(geometry.unit_hyperbolic_disc(z), [Arc(3.0, 0.25)])
-        pot = capacity.grid_condenser_capacity(spec, (16, 32))
+        pot = capacity.grid_condenser_capacity(geometry.unit_hyperbolic_disc(z), [Arc(3.0, 0.25)], (16, 32))
         with open(path, newline="") as fh:
             header, *rows = csv.reader(fh)
         assert header == ["r", "theta", "value"]
@@ -262,6 +255,5 @@ class TestPolarGrid:
         for k in (5, 7):
             arc = Arc(0.0, 2.0**-k)
             fast = capacity.log_capacity([arc])
-            spec = capacity.CondenserSpec(geometry.unit_hyperbolic_disc(ORIGIN), [arc])
-            grid = capacity.grid_condenser_capacity(spec, (96, 512)).energy
+            grid = capacity.grid_condenser_capacity(geometry.unit_hyperbolic_disc(ORIGIN), [arc], (96, 512)).energy
             assert fast == pytest.approx(grid, rel=0.15)

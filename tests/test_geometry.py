@@ -408,6 +408,8 @@ _c = Arc(1.0, 0.02**0.75)
 _d = touching(_c, 0.005**0.75)
 _e = Arc(1.0, 0.03)
 _tiny = Arc(_e.start, 1e-20)  # starts where _e starts, yet misses it in the float test
+# one union of length 0.975, leaving out (1.85 pi, 1.9 pi)
+_f, _g, _h = Arc(0.0, 0.10), Arc(0.9 * math.pi, 0.86), Arc(1.8 * math.pi, 0.05)
 
 
 class TestArcSweepMatchesOracle:
@@ -418,6 +420,13 @@ class TestArcSweepMatchesOracle:
     @example([_e, _tiny, Arc(_e.start + 1e-15, 1e-20)])  # thin overlaps at an endpoint
     @example([Arc(0.3, 0.01), Arc(2.0, 1.0), Arc(4.0, 0.2)])  # one full circle
     @example([Arc(0.0, 0.4), Arc(2.0, 0.4), Arc(4.0, 0.4)])  # a ring of overlaps
+    # a chain reaching more than pi round from its first arc, in every order
+    @example([_f, _g, _h])
+    @example([_f, _h, _g])
+    @example([_g, _f, _h])
+    @example([_g, _h, _f])
+    @example([_h, _f, _g])
+    @example([_h, _g, _f])
     def test_merge_and_pairs(self, arcs):
         merged = geometry.merge_arcs(arcs)
         expected = sequence_oracle.merge_arcs(arcs)

@@ -64,7 +64,9 @@ def plates(draw, grid):
 
 def _check_mask(grid, plate):
     want = grid_oracle.rasterize(grid, plate)
-    got = grid.rasterize(plate, min_cells=0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(capacity, "MIN_PLATE_CELLS", 0)
+        got = grid.rasterize(plate)
     assert got.dtype == bool and got.shape == want.shape
     assert np.array_equal(got, want)
     if np.count_nonzero(want) < 4:
@@ -174,11 +176,11 @@ class TestSolveEnergy:
             "discs": geometry.unit_hyperbolic_disc,
             "arcs": geometry.boundary_arc,
         }[plate_set]
-        spec = capacity.CondenserSpec(geometry.unit_hyperbolic_disc(z), [make(p) for p in points])
-        grid = capacity.PolarGrid(128, 256, capacity._plate_min_depth(spec))
-        mask0 = grid_oracle.rasterize(grid, spec.plate_inner)
+        inner, outer = geometry.unit_hyperbolic_disc(z), [make(p) for p in points]
+        grid = capacity.PolarGrid(128, 256, capacity._plate_min_depth(inner, outer))
+        mask0 = grid_oracle.rasterize(grid, inner)
         mask1 = np.zeros(grid.n_nodes, dtype=bool)
-        for t in spec.plate_outer:
+        for t in outer:
             mask1 |= grid_oracle.rasterize(grid, t)
         _check_solve(grid, mask0, mask1)
 
@@ -418,12 +420,12 @@ class TestCapacitanceSolve:
 
     def _condenser(self):
         z, points = _criterion_07_configuration()
-        spec = capacity.CondenserSpec(geometry.unit_hyperbolic_disc(z), [geometry.carleson_box(p) for p in points])
-        grid = capacity.PolarGrid(48, 96, capacity._plate_min_depth(spec))
+        inner, outer = geometry.unit_hyperbolic_disc(z), [geometry.carleson_box(p) for p in points]
+        grid = capacity.PolarGrid(48, 96, capacity._plate_min_depth(inner, outer))
         mask1 = np.zeros(grid.n_nodes, dtype=bool)
-        for t in spec.plate_outer:
+        for t in outer:
             mask1 |= grid.rasterize(t)
-        return grid, grid.rasterize(spec.plate_inner), mask1
+        return grid, grid.rasterize(inner), mask1
 
     def test_failed_cholesky_raises_numerical_error(self, monkeypatch):
         def not_positive_definite(*args, **kwargs):
