@@ -253,6 +253,8 @@ COMB_LIMIT = (math.e**2 - 1.0) / (math.e**2 + 1.0)
 def comb_sweep(m_values, with_exact: bool = False) -> list[SweepRow]:
     rows = []
     for m in m_values:
+        if m < 2:
+            raise DomainError(f"comb size m must be at least 2, got {m}")
         big_n = m * m
         c0 = comb_capacity_recursive(big_n)
         closed = comb_capacity_closed_form(big_n)
@@ -329,6 +331,9 @@ def counterexample_scenario(
     condenser capacity at every anchor violates the 1/level decay by a
     factor growing like the square root of the level.
     """
+    # the anchors sit one per quadrant of their level (k below)
+    if len(m_list) > 4:
+        raise InputError(f"at most four combs fit, one anchor per quadrant; got {len(m_list)}")
     combs = []
     for i, m in enumerate(m_list):
         big_n = m * m

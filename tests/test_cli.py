@@ -272,6 +272,22 @@ class TestTree:
         assert err == "error: target TreeNode(n=12, k=1025) is not strictly below the source\n"
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["tree", "comb", "--m-min", "1"], "error: comb size m must be at least 2, got 1\n"),
+            (
+                ["tree", "counterexample", "--m", "4", "4", "4", "4", "4"],
+                "input error: at most four combs fit, one anchor per quadrant; got 5\n",
+            ),
+        ],
+    )
+    def test_comb_size_error_names_input(self, argv, message, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert err == message
+        assert out == ""
+
     def test_bad_node_string(self, capsys):
         code, _, err = run(
             ["tree", "cap", "--source", "banana", "--target", "4,1"], capsys

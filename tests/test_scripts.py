@@ -1,8 +1,9 @@
-"""The scaling scripts' child modes run against the library as it stands.
+"""The scaling script's child mode runs against the library as it stands.
 
-Each script measures its peak RSS in a fresh interpreter that runs one
-solve or build; that mode is the quickest whole run of the script, so a
-change to the library's surface that breaks a script fails here.
+The script measures each row's peak RSS in a fresh interpreter that makes
+the row's call once; on a small row that mode is the quickest whole run
+of a layer, so a change to the library's surface that breaks one fails
+here.
 """
 
 import os
@@ -15,19 +16,19 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "script, args",
-    [
-        ("condenser_scaling.py", ["--one-solve", "boxes", "32", "64"]),
-        ("equilibrium_scaling.py", ["--one-solve", "4"]),
-        ("interpolant_scaling.py", ["--one-build", "shallow", "32", "128"]),
-    ],
-)
-def test_child_mode_prints_peak_rss(script, args):
+# a small row of each layer
+SMALL_ROWS = {"equilibrium": ["4"], "grid": ["boxes", "64x256"], "interpolant": ["shallow", "64x256"]}
+
+
+@pytest.mark.parametrize("layer", SMALL_ROWS)
+def test_child_mode_prints_peak_rss(layer):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args], capture_output=True, text=True, env=env
+        [sys.executable, str(ROOT / "scripts" / "scaling.py"), layer, "--child", *SMALL_ROWS[layer]],
+        capture_output=True,
+        text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) > 0.0

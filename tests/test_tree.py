@@ -261,6 +261,17 @@ class TestComb:
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] <= tree.COMB_LIMIT + 1e-6
 
+    @pytest.mark.parametrize(
+        "capacity, m_max", [(tree.comb_capacity_closed_form, 16384), (tree.comb_capacity_recursive, 1024)]
+    )
+    def test_rate_of_approach_to_limit(self, capacity, m_max):
+        # expanding the closed form, c0(N) sqrt(N) = tanh 1 - a / sqrt(N) + O(1/N)
+        # with a = tanh^2(1) / 2, so the rate times sqrt(N) goes to -a like 1/sqrt(N)
+        a = tree.COMB_LIMIT**2 / 2.0
+        for m in range(2, m_max + 1):
+            rate = (capacity(m * m) * m - tree.COMB_LIMIT) * m
+            assert abs(rate + a) * m <= 0.02, m
+
     def test_spine_and_teeth_shape(self):
         spec = CombSpec(tree.default_anchor(16))
         assert len(spec.spine()) == 5
@@ -276,6 +287,9 @@ class TestComb:
             tree.comb_capacity_closed_form(2)
         with pytest.raises(DomainError):
             CombSpec(TreeNode(10, 1))
+        # the sweep names the comb size it was given, not the level it makes
+        with pytest.raises(DomainError, match="comb size m must be at least 2, got 1"):
+            tree.comb_sweep([2, 1])
 
     def test_lower_bound_check(self):
         report = comb_lower_bound_check([16, 25, 100])
@@ -326,6 +340,11 @@ class TestScenario:
     def test_too_deep_comb_rejected(self):
         with pytest.raises(InputError):
             tree.counterexample_scenario(m_list=(4, 5, 8))
+
+    def test_more_than_four_combs_rejected(self):
+        # a fifth anchor would be past the last node of its level
+        with pytest.raises(InputError, match="at most four combs fit, one anchor per quadrant; got 5"):
+            tree.counterexample_scenario(m_list=(4, 4, 4, 4, 4))
 
     @pytest.mark.parametrize("m_list", [(4, 5), (6, 4)])
     def test_overlapping_anchor_boxes_rejected(self, m_list):
