@@ -852,13 +852,26 @@ def _angles_in_arc(thetas: np.ndarray, arc: Arc) -> np.ndarray:
     return np.abs(d) <= arc.half_width * (1 + 1e-15)
 
 
-@dataclass
 class GridPotential:
-    """Discrete equilibrium potential; values indexed like the grid's nodes."""
+    """Discrete potential with its energy; values indexed like the grid's nodes.
 
-    grid: PolarGrid
-    values: np.ndarray
-    energy: float
+    values is given as the solved array, or as a function of no arguments
+    that builds it: an assembled interpolant's energy needs no grid
+    function, so its array is built on the first read of values and kept.
+    """
+
+    def __init__(self, grid: PolarGrid, values, energy: float):
+        self.grid = grid
+        self.energy = energy
+        if callable(values):
+            self._build_values = values
+        else:
+            # an instance attribute shadows the cached property
+            self.__dict__["values"] = values
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return self._build_values()
 
 
 def _plate_min_depth(inner: HyperbolicDisc, outer: list) -> float:

@@ -165,6 +165,8 @@ def cmd_tree(args) -> int:
         )
         return EXIT_PASS
     if args.tree_cmd == "comb":
+        if args.m_min > args.m_max:
+            raise InputError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}, so the sweep is empty")
         rows = tree.comb_sweep(range(args.m_min, args.m_max + 1), with_exact=args.exact)
         if args.csv:
             _write_csv(

@@ -2,10 +2,12 @@
 
 Vicinities, the weak separation / capacitary / Carleson / restricted
 vicinity checkers, generators, and the grid assembly of W^{1,2}
-interpolants from condenser equilibrium blocks.  read_json is
-the one reader of input files: sequences here, arc families and
-condenser specs in the command line tool, which writes every output
-file.
+interpolants from condenser equilibrium blocks.  On prebuilt blocks an
+assembly costs one quadratic form in their Gram matrix, O(n^2) on n
+points; its grid function is built on the first read of its values.
+read_json is the one reader of input files: sequences here, arc
+families and condenser specs in the command line tool, which writes
+every output file.
 """
 
 from __future__ import annotations
@@ -378,7 +380,7 @@ def union(parts) -> Sequence:
 # W^{1,2} interpolant assembly
 
 
-@dataclass
+@dataclass(frozen=True)
 class InterpolantBlocks:
     """Fixed condenser-potential blocks for one (sequence, gamma, grid).
 
@@ -387,6 +389,8 @@ class InterpolantBlocks:
     node nodes[k] and vanishes off its support.  gram is the W^{1,2} form
     on the blocks, B (L + diag(areas)) B^T: their one solve returns
     B L B^T (see PolarGrid.solve), whose diagonal is block_energies.
+    The arrays are read-only, as an assembled interpolant reads them
+    only when its grid values are first read.
     """
 
     grid: capacity.PolarGrid
@@ -395,6 +399,10 @@ class InterpolantBlocks:
     values: np.ndarray  # each covered node's value in its block
     block_energies: np.ndarray
     gram: np.ndarray  # (n_points, n_points)
+
+    def __post_init__(self):
+        for array in (self.nodes, self.owner, self.values, self.block_energies, self.gram):
+            array.flags.writeable = False
 
 
 def _build_blocks(seq: Sequence, gamma: float, resolution) -> InterpolantBlocks:
@@ -429,6 +437,13 @@ def _build_blocks(seq: Sequence, gamma: float, resolution) -> InterpolantBlocks:
     return InterpolantBlocks(grid, nodes, owner[nodes], u[nodes], form.diagonal(), gram)
 
 
+def _grid_values(blocks: InterpolantBlocks, coeffs: np.ndarray) -> np.ndarray:
+    """The sum of the blocks scaled by coeffs, as a full-grid array."""
+    values = np.zeros(blocks.grid.n_nodes)
+    values[blocks.nodes] = coeffs[blocks.owner] * blocks.values
+    return values
+
+
 def assemble_sobolev_interpolant(
     seq: Sequence,
     data,
@@ -442,15 +457,18 @@ def assemble_sobolev_interpolant(
     outside its support region, so the assembled function takes the value
     a_i sqrt(d(z_i)) on the core cells.  Returns the grid function and
     its W^{1,2} energy (Dirichlet part plus L2 part).  Pass a
-    prebuilt InterpolantBlocks to reuse the solves across data vectors.
+    prebuilt InterpolantBlocks to reuse the solves across data vectors:
+    each assembly then costs one quadratic form in their Gram matrix,
+    O(n^2) on n points, and the grid function is built on the first read
+    of its values.
     """
+    if blocks is not None and len(blocks.gram) != len(seq):
+        raise InputError(f"blocks built for {len(blocks.gram)} points do not match sequence length {len(seq)}")
     data = np.asarray(data, dtype=float)
     if data.shape != (len(seq),):
         raise InputError(f"data length {data.shape} does not match sequence length {len(seq)}")
     if blocks is None:
         blocks = _build_blocks(seq, gamma, resolution)
-    coeffs = data * np.sqrt(np.asarray(seq.norms))
-    values = np.zeros(blocks.grid.n_nodes)
-    values[blocks.nodes] = coeffs[blocks.owner] * blocks.values
+    coeffs = data * np.sqrt(seq.pointset.norm_sq)
     energy = float(coeffs @ blocks.gram @ coeffs)
-    return capacity.GridPotential(blocks.grid, values, energy), energy
+    return capacity.GridPotential(blocks.grid, functools.partial(_grid_values, blocks, coeffs), energy), energy

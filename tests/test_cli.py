@@ -288,6 +288,12 @@ class TestTree:
         assert err == message
         assert out == ""
 
+    def test_empty_comb_sweep_exits_2(self, capsys):
+        code, out, err = run(["tree", "comb", "--m-min", "5", "--m-max", "3"], capsys)
+        assert code == 2
+        assert err == "input error: --m-min 5 exceeds --m-max 3, so the sweep is empty\n"
+        assert out == ""
+
     def test_bad_node_string(self, capsys):
         code, _, err = run(
             ["tree", "cap", "--source", "banana", "--target", "4,1"], capsys

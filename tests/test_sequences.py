@@ -370,6 +370,29 @@ class TestInterpolant:
         with pytest.raises(InputError):
             sequences.assemble_sobolev_interpolant(seq, [1.0, 2.0], blocks=blocks)
 
+    def test_values_read_match_the_scatter(self, setup):
+        seq, blocks = setup
+        data = np.random.default_rng(1).normal(size=len(seq))
+        pot, _ = sequences.assemble_sobolev_interpolant(seq, data, blocks=blocks)
+        coeffs = data * np.sqrt(np.asarray(seq.norms))
+        want = np.zeros(blocks.grid.n_nodes)
+        want[blocks.nodes] = coeffs[blocks.owner] * blocks.values
+        values = pot.values
+        assert np.array_equal(values, want)
+        assert pot.values is values
+
+    @pytest.mark.parametrize("name", ["nodes", "owner", "values", "block_energies", "gram"])
+    def test_block_arrays_are_read_only(self, setup, name):
+        _, blocks = setup
+        with pytest.raises(ValueError):
+            getattr(blocks, name)[0] = 0
+
+    def test_blocks_of_another_sequence(self, setup):
+        seq, blocks = setup
+        longer = sequences.disjoint_boxes(len(seq) + 1, seed=11)
+        with pytest.raises(InputError, match=f"blocks built for {len(seq)} points .* sequence length {len(seq) + 1}"):
+            sequences.assemble_sobolev_interpolant(longer, np.ones(len(longer)), blocks=blocks)
+
     def test_build_builds_the_stencil_rows_once(self, setup, monkeypatch):
         # the Gram matrix comes out of the blocks' one solve, which builds its rows once
         seq, _ = setup
