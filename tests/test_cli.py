@@ -280,18 +280,16 @@ class TestTree:
                 ["tree", "counterexample", "--m", "4", "4", "4", "4", "4"],
                 "input error: at most four combs fit, one anchor per quadrant; got 5\n",
             ),
+            (
+                ["tree", "comb", "--m-min", "5", "--m-max", "3"],
+                "input error: --m-min 5 exceeds --m-max 3, so the sweep is empty\n",
+            ),
         ],
     )
     def test_comb_size_error_names_input(self, argv, message, capsys):
         code, out, err = run(argv, capsys)
         assert code == 2
         assert err == message
-        assert out == ""
-
-    def test_empty_comb_sweep_exits_2(self, capsys):
-        code, out, err = run(["tree", "comb", "--m-min", "5", "--m-max", "3"], capsys)
-        assert code == 2
-        assert err == "input error: --m-min 5 exceeds --m-max 3, so the sweep is empty\n"
         assert out == ""
 
     def test_bad_node_string(self, capsys):
