@@ -148,11 +148,27 @@ def _unit_arc_nodes() -> tuple[np.ndarray, np.ndarray]:
     return t, cells
 
 
-def _arc_nodes(arc: Arc) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature angles on one arc plus cell widths (radians)."""
+def _nodes(arcs: geometry.ArcGroups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadrature angles and cell widths (radians) of every arc, and where each group's nodes start.
+
+    An arc gets the QUAD_NODES nodes of _unit_arc_nodes from its start
+    to its end.  Arcs shorter than the float resolution of absolute
+    angles collapse to one node carrying the whole width; the point-mass
+    energy log(2/width) is then the right self-interaction.
+    """
     t, cells = _unit_arc_nodes()
-    span = 2.0 * arc.half_width
-    return arc.start + t * span, cells * span
+    half = math.pi * arcs.length
+    span = 2.0 * half
+    tiny = arcs.length < 1e-12
+    first = np.cumsum(np.concatenate([[0], np.where(tiny, 1, QUAD_NODES)]))
+    angles, widths = np.empty(first[-1]), np.empty(first[-1])
+    wide = ~tiny
+    at = first[:-1][wide, None] + np.arange(QUAD_NODES)
+    angles[at] = (arcs.center - half)[wide, None] + t * span[wide, None]
+    widths[at] = cells * span[wide, None]
+    angles[first[:-1][tiny]] = arcs.center[tiny]
+    widths[first[:-1][tiny]] = span[tiny]
+    return angles, widths, first[arcs.start]
 
 
 def _energy_matrix(angles: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -195,7 +211,20 @@ def _lower_energy(k: np.ndarray, diag: np.ndarray, w: np.ndarray) -> float:
 
 
 def equilibrium_measure(arcs: list[Arc]) -> EquilibriumMeasure:
-    """Equilibrium measure of a finite union of disjoint arcs.
+    """Equilibrium measure of a finite union of arcs; see equilibrium_measures."""
+    (mu,) = equilibrium_measures(geometry.ArcGroups.from_lists([geometry.merge_arcs(arcs)]))
+    if isinstance(mu, Exception):
+        raise mu
+    return mu
+
+
+def equilibrium_measures(families: geometry.ArcGroups) -> list:
+    """The equilibrium measure of each group of disjoint arcs, as merge_arc_groups gives them.
+
+    Each entry is the group's EquilibriumMeasure, or the error its solve
+    raised: a NumericalError, or a DomainError for an empty group.  The
+    quadrature nodes of every group are laid out at once (_nodes), and
+    the solves run one group at a time on one BLAS thread.
 
     The unit-mass measure with constant potential on the nodes minimises
     w^T K w subject to sum(w) = 1, so it is x / sum(x) for K x = 1.  A
@@ -211,51 +240,52 @@ def equilibrium_measure(arcs: list[Arc]) -> EquilibriumMeasure:
     lower triangle with the ridged diagonal, solved again.  The energy
     w^T K w is summed from the lower triangle and the saved diagonal.
     """
-    arcs = geometry.merge_arcs(list(arcs))
-    if not arcs:
-        raise DomainError("empty arc family")
-    parts = [_arc_nodes(a) for a in arcs]
-    # arcs shorter than the float resolution of absolute angles collapse
-    # to one node carrying the whole width; the point-mass energy
-    # log(2/width) is then the right self-interaction
-    parts = [
-        (np.array([a.center_angle]), np.array([2.0 * a.half_width])) if a.length < 1e-12 else p
-        for a, p in zip(arcs, parts)
-    ]
-    angles = np.concatenate([p[0] for p in parts])
-    widths = np.concatenate([p[1] for p in parts])
+    angles, widths, start = _nodes(families)
+    out = []
+    with _blas.single_thread():
+        for a, b in zip(start[:-1].tolist(), start[1:].tolist()):
+            if a == b:
+                out.append(DomainError("empty arc family"))
+                continue
+            try:
+                out.append(_equilibrium(angles[a:b], widths[a:b]))
+            except NumericalError as exc:
+                out.append(exc)
+    return out
+
+
+def _equilibrium(angles: np.ndarray, widths: np.ndarray) -> EquilibriumMeasure:
+    """The equilibrium measure on the given nodes; the caller holds one BLAS thread."""
     k = _energy_matrix(angles, widths)
     n = len(angles)
     diag = k.diagonal().copy()
     ridged = diag + RIDGE_FACTOR * np.trace(k) / n
     np.fill_diagonal(k, ridged)
-
-    with _blas.single_thread():
-        active = np.ones(n, dtype=bool)
-        for _ in range(25):
-            idx = np.flatnonzero(active)
-            if len(idx) == n:
-                # factored in place over the upper triangle; K stays in the lower
-                block, lower = k, False
-            else:
-                block, lower = k[np.ix_(idx, idx)], True
-                np.fill_diagonal(block, ridged[idx])
-            try:
-                x = _blas.solve_symmetric(block, np.ones(len(idx)), lower)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"equilibrium system singular: {exc}") from exc
-            w = np.zeros(n)
-            w[idx] = x / x.sum()
-            neg = w < -1e-12
-            if not neg.any():
-                break
-            active &= ~neg
-        w = np.maximum(w, 0.0)
-        total = w.sum()
-        if not math.isfinite(total) or total <= 0:
-            raise NumericalError("equilibrium weights degenerate")
-        w /= total
-        energy = _lower_energy(k, diag, w)
+    active = np.ones(n, dtype=bool)
+    for _ in range(25):
+        idx = np.flatnonzero(active)
+        if len(idx) == n:
+            # factored in place over the upper triangle; K stays in the lower
+            block, lower = k, False
+        else:
+            block, lower = k[np.ix_(idx, idx)], True
+            np.fill_diagonal(block, ridged[idx])
+        try:
+            x = _blas.solve_symmetric(block, np.ones(len(idx)), lower)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"equilibrium system singular: {exc}") from exc
+        w = np.zeros(n)
+        w[idx] = x / x.sum()
+        neg = w < -1e-12
+        if not neg.any():
+            break
+        active &= ~neg
+    w = np.maximum(w, 0.0)
+    total = w.sum()
+    if not math.isfinite(total) or total <= 0:
+        raise NumericalError("equilibrium weights degenerate")
+    w /= total
+    energy = _lower_energy(k, diag, w)
     if not math.isfinite(energy) or energy <= 0:
         raise NumericalError(f"nonpositive equilibrium energy {energy}")
     return EquilibriumMeasure(angles, w, energy)
@@ -266,8 +296,25 @@ def log_capacity(arcs: list[Arc]) -> float:
     arcs = list(arcs)
     if not arcs:
         return 0.0
-    mu = equilibrium_measure(arcs)
-    return CAP_SCALE / max(mu.energy + CAP_SHIFT, CAP_DEN_FLOOR)
+    return _calibrated(equilibrium_measure(arcs).energy)
+
+
+def log_capacities(families: geometry.ArcGroups) -> list:
+    """log_capacity of each group of disjoint arcs, as merge_arc_groups gives them.
+
+    A group whose solve failed gets its NumericalError in place of the
+    value (see equilibrium_measures).
+    """
+    sizes = np.diff(families.start).tolist()
+    return [
+        0.0 if not size else mu if isinstance(mu, Exception) else _calibrated(mu.energy)
+        for size, mu in zip(sizes, equilibrium_measures(families))
+    ]
+
+
+def _calibrated(energy: float) -> float:
+    """C(E) from the equilibrium energy of E by the frozen affine map."""
+    return CAP_SCALE / max(energy + CAP_SHIFT, CAP_DEN_FLOOR)
 
 
 def condenser_capacity(z: DiscPoint, targets: list) -> CondenserResult:

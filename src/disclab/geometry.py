@@ -10,8 +10,12 @@ representable, which cartesian coordinates cannot do; all pairwise
 formulas route through a cancellation-free evaluation of 1 - w*conj(z).
 PointSet holds points as arrays and is the one implementation of the
 pairwise formulas, a single pair included.  Box containment has one
-elementwise test, boxes_contain, and arc meeting one sweep,
-intersecting_arc_pairs, over whose pairs arc unions are grouped.
+elementwise test, boxes_contain, and arc meeting one sweep, which runs
+over many groups of arcs at once.  ArcGroups holds such groups as
+arrays, and merge_arc_groups merges them all in one array pass: the
+components of each group's meeting pairs are found by label hooking
+with no loop over pairs, and each is hulled at the one gap its union
+leaves.  merge_arcs is that merge on one list of arcs.
 point_from_json and arc_from_json parse the input forms of points and
 arcs; of the point forms only {"theta", "depth"} is exact for deep points.
 number_from_json reads every number of those forms and of the condenser
@@ -42,7 +46,10 @@ _SWEEP_SLACK = 1e-12
 def _wrap_angle(t: float) -> float:
     """Reduce an angle to [0, 2*pi)."""
     t = math.fmod(t, TWO_PI)
-    return t + TWO_PI if t < 0 else t
+    if t < 0:
+        t += TWO_PI
+    # a negative angle within half an ulp of 2*pi of 0 rounds up to a full turn
+    return 0.0 if t == TWO_PI else t
 
 
 def _signed_angle(t: float) -> float:
@@ -58,13 +65,24 @@ def _signed_angle(t: float) -> float:
 def _wrap_angles(t: np.ndarray) -> np.ndarray:
     """_wrap_angle elementwise."""
     t = np.fmod(t, TWO_PI)
-    return np.where(t < 0, t + TWO_PI, t)
+    t = np.where(t < 0, t + TWO_PI, t)
+    return np.where(t == TWO_PI, 0.0, t)
 
 
 def _signed_angles(t: np.ndarray) -> np.ndarray:
     """_signed_angle elementwise."""
     t = np.fmod(t, TWO_PI)
     return np.where(t > math.pi, t - TWO_PI, np.where(t <= -math.pi, t + TWO_PI, t))
+
+
+def _outside_disc(theta, depth) -> DomainError:
+    """The error for a point, or a Mobius image, that is not in the open disc."""
+    return DomainError(f"point not in open disc: theta={theta}, depth={depth}")
+
+
+def _origin_arc() -> DomainError:
+    """The error for the boundary arc of the origin, which has none."""
+    return DomainError("boundary_arc undefined at the origin")
 
 
 @dataclass(frozen=True)
@@ -79,7 +97,7 @@ class DiscPoint:
 
     def __post_init__(self):
         if not (0.0 < self.depth <= 1.0) or not math.isfinite(self.theta):
-            raise DomainError(f"point not in open disc: theta={self.theta}, depth={self.depth}")
+            raise _outside_disc(self.theta, self.depth)
         object.__setattr__(self, "theta", _wrap_angle(self.theta))
 
     @classmethod
@@ -180,8 +198,17 @@ class PointSet:
         """phi_z(w) = (z - w)/(1 - conj(z) w) for z in self and w in other.
 
         The disc automorphism that exchanges z and the origin; an
-        involution in w.
+        involution in w.  The clamped depth of an image can round to 0,
+        which DiscPoint refuses, and so does this.
         """
+        image = self._mobius(other)
+        refused = np.flatnonzero(~(image.depth > 0.0))
+        if len(refused):
+            raise _outside_disc(image.theta.flat[refused[0]], image.depth.flat[refused[0]])
+        return image
+
+    def _mobius(self, other: "PointSet") -> "PointSet":
+        """mobius without the check of the image depths."""
         num = self._diff(other)
         den = self.one_minus_conj_prod(other)
         a = np.abs(den)
@@ -194,10 +221,6 @@ class PointSet:
         t = np.minimum(np.maximum(t, 5e-324), 1.0)
         depth = np.where(rho < 0.5, 1.0 - rho, t / (1.0 + np.sqrt(1.0 - t)))
         theta = _wrap_angles(np.where(rho == 0.0, 0.0, np.angle(num / den)))
-        if not np.all(depth > 0.0):
-            # the clamped depth can round to 0, which DiscPoint refuses
-            k = np.flatnonzero(~(depth > 0.0))[0]
-            raise DomainError(f"point not in open disc: theta={theta.flat[k]}, depth={depth.flat[k]}")
         return PointSet(theta, depth)
 
     def kernel(self, other: "PointSet") -> np.ndarray:
@@ -310,50 +333,116 @@ def arc_from_json(d: dict) -> Arc:
     return Arc(number_from_json(d["center_angle"]), number_from_json(d["length"]))
 
 
+@dataclass(frozen=True, eq=False)
+class ArcGroups:
+    """Groups of closed boundary arcs as arrays.
+
+    Group g holds the arcs start[g]:start[g + 1]; center and length are
+    as Arc stores them.
+    """
+
+    center: np.ndarray
+    length: np.ndarray
+    start: np.ndarray
+
+    @classmethod
+    def from_lists(cls, groups) -> "ArcGroups":
+        groups = [list(g) for g in groups]
+        arcs = [a for g in groups for a in g]
+        return cls(
+            np.array([a.center_angle for a in arcs], dtype=float),
+            np.array([a.length for a in arcs], dtype=float),
+            np.cumsum([0] + [len(g) for g in groups], dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.start) - 1
+
+    def arcs(self, g: int) -> list[Arc]:
+        """Group g as Arc objects."""
+        a, b = self.start[g], self.start[g + 1]
+        return [Arc(c, n) for c, n in zip(self.center[a:b].tolist(), self.length[a:b].tolist())]
+
+
 def merge_arcs(arcs: list[Arc]) -> list[Arc]:
     """Union of closed arcs as a list of disjoint arcs."""
-    if not arcs:
-        return []
-    merged = _merge_intervals(arcs)
-    count = len(arcs)
-    # a hull's ends round afresh, so at a touching end a hull can meet an arc
-    # that none of its members met in the float test; iterate to a fixpoint
-    while len(merged) < count:
-        count = len(merged)
-        merged = _merge_intervals(merged)
-    if len(merged) == 1 and merged[0].length >= 1.0 - 1e-12:
-        return [Arc(0.0, 1.0)]
-    return merged
+    return merge_arc_groups(ArcGroups.from_lists([arcs])).arcs(0)
+
+
+def merge_arc_groups(groups: ArcGroups) -> ArcGroups:
+    """The union of each group as disjoint arcs, in order of center angle.
+
+    All groups are merged in one array pass (see _merge_pass).  A hull's
+    ends round afresh, so at a touching end a hull can meet an arc that
+    none of its members met in the float test: the groups that a pass
+    merged something in are passed again, until none is.  A group whose
+    union is one arc within 1e-12 of the circle is the full circle.
+    """
+    n = len(groups)
+    count = np.diff(groups.start)
+    group = np.repeat(np.arange(n), count)
+    center, length = groups.center, groups.length
+    # a pass leaves a single arc as it is, or makes it the full circle as the end does
+    todo = count > 1
+    while todo.any():
+        picked = todo[group]
+        merged = _merge_pass(center[picked], length[picked], group[picked], n)
+        merged_count = np.bincount(merged[2], minlength=n)
+        count, todo = np.where(todo, merged_count, count), todo & (merged_count < count) & (merged_count > 1)
+        if picked.all():
+            center, length, group = merged
+            continue
+        # each group's arcs stay together and in their order
+        order = np.argsort(np.concatenate([group[~picked], merged[2]]), kind="stable")
+        center, length, group = (np.concatenate([a[~picked], b])[order] for a, b in zip((center, length, group), merged))
+    start = np.cumsum(np.concatenate([[0], count]))
+    single = start[:-1][count == 1]
+    circle = single[length[single] >= 1.0 - 1e-12]
+    center, length = center.copy(), length.copy()
+    center[circle], length[circle] = 0.0, 1.0
+    return ArcGroups(center, length, start)
 
 
 def intersecting_arc_pairs(center: np.ndarray, half_width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs i < j of the arcs that meet, in ascending order.
 
-    center and half_width are as Arc stores them.  A sort-and-sweep over
-    the arc extents on the line proposes the pairs whose extents overlap,
-    in O(k log k + proposals); each is confirmed with the float test of
-    the scalar reference arcs_meet in tests/geometry_oracle.py, so the
-    pairs are those that testing all k^2 gives.
+    center and half_width are as Arc stores them; see _meeting_pairs.
+    """
+    return _meeting_pairs(center, half_width, np.zeros(len(center), dtype=np.int64))
+
+
+def _meeting_pairs(center: np.ndarray, half_width: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of the arcs of one group that meet, in ascending order.
+
+    group holds each arc's group and does not decrease.  A sort-and-sweep
+    over the arc extents on the line proposes the pairs of a group whose
+    extents overlap, in O(k log k + proposals); each is confirmed with the
+    float test of the scalar reference arcs_meet in
+    tests/geometry_oracle.py, so the pairs are those that testing all
+    pairs of each group gives.
     """
     k = len(center)
     if k < 2:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     # each arc's extent at its center in [0, 2*pi), and once more a turn up
-    # when that copy can reach another arc, so every pair that meets on
-    # the circle overlaps as a pair of extents
+    # when that copy can reach another arc, so every pair that meets on the
+    # circle overlaps as a pair of extents
     start = center - half_width
     end = center + half_width
     up = np.flatnonzero(start + TWO_PI <= end.max() + _SWEEP_SLACK)
     arc = np.concatenate([np.arange(k), up])
-    start = np.concatenate([start, start[up] + TWO_PI])
+    # numpy orders complex numbers by real part, then imaginary part: keyed
+    # group + i*start, the extents sort by group and then start, and one
+    # searchsorted finds each extent's last overlap within its own group
+    key = group[arc] + 1j * np.concatenate([start, start[up] + TWO_PI])
     end = np.concatenate([end, end[up] + TWO_PI])
-    order = np.argsort(start, kind="stable")
-    start, end, arc = start[order], end[order], arc[order]
+    order = np.argsort(key, kind="stable")
+    key, end, arc = key[order], end[order], arc[order]
     # extent t overlaps the later extents t+1 .. stop[t]-1, which start before it ends
-    stop = np.searchsorted(start, end + _SWEEP_SLACK, side="right")
-    first = np.arange(1, len(start) + 1)
+    stop = np.searchsorted(key, key.real + 1j * (end + _SWEEP_SLACK), side="right")
+    first = np.arange(1, len(key) + 1)
     count = np.maximum(stop - first, 0)
-    a = np.repeat(np.arange(len(start)), count)
+    a = np.repeat(np.arange(len(key)), count)
     b = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)
     i, j = arc[a], arc[b]
     keep = i != j
@@ -362,71 +451,125 @@ def intersecting_arc_pairs(center: np.ndarray, half_width: np.ndarray) -> tuple[
     return lo[hit], hi[hit]
 
 
-def _merge_intervals(arcs: list[Arc]) -> list[Arc]:
-    """Merge by transitive overlap; singleton groups pass through untouched.
+def _merge_pass(
+    center: np.ndarray, length: np.ndarray, group: np.ndarray, n_groups: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One merge of arcs by transitive overlap within each group; (center, length, group).
 
-    Groups are hulled in coordinates relative to a member arc, so very
-    short arcs (lengths far below the float resolution of absolute
-    angles) survive with their lengths intact.  A group's union is cut at
-    the one gap it leaves, which a chain of arcs can put anywhere round
-    the circle, not only opposite the reference arc.
+    The arcs come sorted by group.  Each connected component of the
+    meeting pairs becomes one arc: a single arc passes through untouched,
+    and two or more are hulled (see _hulls).  A group that holds a full
+    arc, or whose union covers the circle, becomes the full circle.  Each
+    group's arcs go out in order of center angle, and on equal angles in
+    the order of their components' first members.
     """
-    if any(a.is_full_circle() for a in arcs):
-        return [Arc(0.0, 1.0)]
-    first, second = intersecting_arc_pairs(
-        np.array([a.center_angle for a in arcs]), np.array([a.half_width for a in arcs])
-    )
-    group = list(range(len(arcs)))
+    k = len(center)
+    half = np.pi * length
+    root = _components(k, *_meeting_pairs(center, half, group))
+    out = np.flatnonzero(root == np.arange(k))
+    out_center, out_length = center[out], length[out]
+    full = np.zeros(n_groups, dtype=bool)
+    full[group[length >= 1.0]] = True
+    hulled, hull_center, hull_length, circle = _hulls(center, half, root)
+    at = np.searchsorted(out, hulled)
+    out_center[at], out_length[at] = hull_center, hull_length
+    full[group[hulled[circle]]] = True
+    out_group = group[out]
+    kept = ~full[out_group]
+    circles = np.flatnonzero(full)
+    center = np.concatenate([out_center[kept], np.zeros(len(circles))])
+    length = np.concatenate([out_length[kept], np.ones(len(circles))])
+    group = np.concatenate([out_group[kept], circles])
+    # lexsort is stable, and the arcs come in order of their components' first members
+    order = np.lexsort((center, group))
+    return center[order], length[order], group[order]
 
-    def find(i):
-        while group[i] != i:
-            group[i] = group[group[i]]
-            i = group[i]
-        return i
 
-    for i, j in zip(first.tolist(), second.tolist()):
-        group[find(i)] = find(j)
-    # members keep their input order, which fixes each hull's reference arc
-    clusters: dict[int, list[Arc]] = {}
-    for i, a in enumerate(arcs):
-        clusters.setdefault(find(i), []).append(a)
-    out = []
-    for members in clusters.values():
-        if len(members) == 1:
-            out.append(members[0])
-            continue
-        ref = members[0].center_angle
-        spans = []
-        for a in members:
-            offset = _signed_angle(a.center_angle - ref)
-            spans.append((offset - a.half_width, offset + a.half_width))
-        # a group's union leaves out at most one gap of the circle.  On the
-        # turn from the first start (a member starting a turn on is taken a
-        # turn back) it is the widest between the running end and the next
-        # start, where the running end starts at the members' last end less
-        # a turn: their previous turn covers up to there, and the first gap
-        # is the one round the back.  The members before the gap go a turn up
-        first = min(s for s, _ in spans)
-        spans = sorted((s - TWO_PI, e - TWO_PI) if s >= first + TWO_PI else (s, e) for s, e in spans)
-        end = max(e for _, e in spans) - TWO_PI
-        widest, cut = -math.inf, first
-        for s, e in spans:
-            if s - end > widest:
-                widest, cut = s - end, s
-            end = max(end, e)
-        spans = [(s + TWO_PI, e + TWO_PI) if s < cut else (s, e) for s, e in spans]
-        lo = min(s for s, _ in spans)
-        hi = max(e for _, e in spans)
-        if widest <= 0.0 or hi - lo >= TWO_PI:
-            return [Arc(0.0, 1.0)]
-        out.append(Arc(ref + 0.5 * (lo + hi), (hi - lo) / TWO_PI))
-    return sorted(out, key=lambda a: a.center_angle)
+def _components(k: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each of k nodes' smallest fellow in the graph with edges (lo, hi).
+
+    Every label points to a smaller node of its component.  Each round
+    hooks the larger label of every edge whose ends disagree onto the
+    smaller one and then follows the labels to their roots, until every
+    edge agrees; the one root left in a component is its smallest node.
+    """
+    label = np.arange(k)
+    while True:
+        a, b = label[lo], label[hi]
+        apart = a != b
+        if not apart.any():
+            return label
+        np.minimum.at(label, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+        while True:
+            root = label[label]
+            if np.array_equal(root, label):
+                break
+            label = root
+
+
+def _hulls(
+    center: np.ndarray, half: np.ndarray, root: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The union of each component of two or more arcs; (roots, center, length, circle).
+
+    root is each arc's component, its first member.  The members of a
+    component are hulled in coordinates relative to that member, so very
+    short arcs (lengths far below the float resolution of absolute
+    angles) survive with their lengths intact.  A component's union
+    leaves out at most one gap of the circle.  On the turn from the first
+    start (a member starting a turn on is taken a turn back) it is the
+    widest between the running end and the next start, where the running
+    end starts at the members' last end less a turn: their previous turn
+    covers up to there, and the first gap is the one round the back.  The
+    members before the gap go a turn up.  circle marks the components
+    that leave no gap, or whose hull spans the circle.
+    """
+    member = np.flatnonzero(np.bincount(root, minlength=len(root))[root] > 1)
+    if not len(member):
+        empty = np.zeros(0)
+        return member, empty, empty, np.zeros(0, dtype=bool)
+    ref = root[member]
+    offset = _signed_angles(center[member] - center[ref])
+    s, e = offset - half[member], offset + half[member]
+    first = np.full(len(root), np.inf)
+    np.minimum.at(first, ref, s)
+    back = s >= first[ref] + TWO_PI
+    s, e = np.where(back, s - TWO_PI, s), np.where(back, e - TWO_PI, e)
+    order = np.lexsort((e, s, ref))
+    s, e, ref = s[order], e[order], ref[order]
+    head = np.flatnonzero(np.diff(ref, prepend=-1))
+    part = np.cumsum(np.diff(ref, prepend=-1) != 0) - 1
+    before = np.roll(e, 1)
+    before[head] = np.maximum.reduceat(e, head) - TWO_PI
+    gap = s - _running_max(before, part)
+    widest = np.maximum.reduceat(gap, head)
+    # the first start after the widest gap, as the scalar sweep takes it
+    at = np.flatnonzero(gap == widest[part])
+    cut = s[at[np.flatnonzero(np.diff(part[at], prepend=-1))]]
+    s, e = np.where(s < cut[part], s + TWO_PI, s), np.where(s < cut[part], e + TWO_PI, e)
+    lo, hi = np.minimum.reduceat(s, head), np.maximum.reduceat(e, head)
+    roots = ref[head]
+    circle = (widest <= 0.0) | (hi - lo >= TWO_PI)
+    return roots, _wrap_angles(center[roots] + 0.5 * (lo + hi)), (hi - lo) / TWO_PI, circle
+
+
+def _running_max(values: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """The running maximum of values within each run of equal part (non-decreasing).
+
+    It runs over the values' ranks, offset by part so that each part's
+    maximum starts afresh, and maps them back to the values themselves.
+    """
+    n = len(values)
+    order = np.argsort(values, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    return values[order[np.maximum.accumulate(part * n + rank) - part * n]]
 
 
 def boundary_arc(z: DiscPoint) -> Arc:
     """I_z: the arc centered at the radial projection z/|z| of length 1-|z|."""
     if z.is_origin():
-        raise DomainError("boundary_arc undefined at the origin")
+        raise _origin_arc()
     return Arc(z.theta, z.depth)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import capacity, geometry
-from .errors import DomainError, InputError, NumericalError, ResolutionError
+from .errors import DomainError, InputError, ResolutionError
 from .geometry import DiscPoint
 
 DEFAULT_GAMMA = 0.75
@@ -252,22 +252,43 @@ def check_capacitary_condition(
     gamma: float = DEFAULT_GAMMA,
     budget: float = COMPARABILITY_BUDGET,
 ) -> CheckReport:
-    """Capacity of the Mobius-pulled vicinity arcs against 1/d(z_i)."""
+    """Capacity of the Mobius-pulled vicinity arcs against 1/d(z_i).
+
+    The capacities' inputs come from one array pass over the vicinity
+    lists: one Mobius call over every (point, member) pair, the images'
+    boundary arcs as arrays, one merge of all vicinities
+    (geometry.merge_arc_groups) and one layout of their quadrature nodes.
+    Only the equilibrium solves run vicinity by vicinity
+    (capacity.log_capacities).  A point with a member whose image the
+    disc refuses or is the origin, or whose solve fails, gets a NaN
+    record and a warning; the other records are unaffected.
+    """
     warnings = []
     if len({(p.theta, p.depth) for p in seq.points}) < len(seq):
         warnings.append("sequence has coincident points; weak separation fails")
-    records = []
+    lists = _vicinities(seq, gamma)
     pts = seq.pointset
-    for i in range(len(seq)):
-        vic = vicinity(seq, i, gamma)
-        d_i = seq.norms[i]
-        if not vic:
-            records.append({"index": i, "lhs": 0.0, "rhs": 1.0 / d_i, "ratio": 0.0})
-            continue
-        try:
-            arcs = [geometry.boundary_arc(p) for p in pts[i].mobius(pts[vic]).points()]
-            lhs = capacity.log_capacity(arcs)
-        except (NumericalError, DomainError) as exc:
+    if (pts.depth == 1.0).any():
+        raise DomainError("expanded box undefined at the origin")
+    n = len(seq)
+    owner = np.repeat(np.arange(n), np.diff(lists.start))
+    images = pts[owner]._mobius(pts[lists.members])
+    # each point's first refused image, as mobius reports it; else its first image at the origin
+    failed = {}
+    for k in np.flatnonzero(~(images.depth > 0.0)).tolist():
+        failed.setdefault(int(owner[k]), geometry._outside_disc(images.theta[k], images.depth[k]))
+    for k in np.flatnonzero(images.depth == 1.0).tolist():
+        failed.setdefault(int(owner[k]), geometry._origin_arc())
+    # a point that failed keeps no arcs; the image arcs are (theta, depth), as boundary_arc makes them
+    kept = np.ones(n, dtype=bool)
+    kept[list(failed)] = False
+    kept = kept[owner]
+    start = np.concatenate([[0], np.cumsum(np.bincount(owner[kept], minlength=n))])
+    arcs = geometry.ArcGroups(images.theta[kept], images.depth[kept], start)
+    records = []
+    for i, (d_i, lhs) in enumerate(zip(seq.norms, capacity.log_capacities(geometry.merge_arc_groups(arcs)))):
+        exc = failed.get(i, lhs if isinstance(lhs, Exception) else None)
+        if exc is not None:
             warnings.append(f"capacity solver failed at index {i}: {exc}")
             records.append({"index": i, "lhs": math.nan, "rhs": 1.0 / d_i, "ratio": math.nan})
             continue
@@ -284,13 +305,17 @@ def check_carleson(
     """Mass-in-box against capacity over the supplied arc families only.
 
     A sampler for the necessary condition, not an exhaustive supremum.
+    The families are merged in one call, and their capacities come from
+    the merged arcs in one more.
     """
     records = []
     pts = seq.pointset
-    for fi, family in enumerate(test_families):
-        arcs = geometry.merge_arcs(list(family))
-        center = np.array([a.center_angle for a in arcs], dtype=float)
-        length = np.array([a.length for a in arcs], dtype=float)
+    merged = geometry.merge_arc_groups(geometry.ArcGroups.from_lists(test_families))
+    for fi, cap_e in enumerate(capacity.log_capacities(merged)):
+        if isinstance(cap_e, Exception):
+            raise cap_e
+        center = merged.center[merged.start[fi] : merged.start[fi + 1]]
+        length = merged.length[merged.start[fi] : merged.start[fi + 1]]
         # points x boxes: the box over each merged arc has inner radius
         # max(1 - length, 0); the angle slack covers rounded endpoint angles
         gap = np.abs(geometry._signed_angles(pts.theta[:, None] - center))
@@ -299,7 +324,6 @@ def check_carleson(
         )
         # Python's sum in point order, as the scalar loop added the masses
         mass = sum((1.0 / d for d, hit in zip(seq.norms, inside.any(axis=1).tolist()) if hit), 0.0)
-        cap_e = capacity.log_capacity(arcs)
         # positive mass needs a point over a merged arc, so cap_e > 0 then
         ratio = mass / cap_e if mass else 0.0
         records.append({"index": fi, "lhs": mass, "rhs": cap_e, "ratio": ratio})

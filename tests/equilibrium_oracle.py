@@ -5,7 +5,8 @@ active-set sweep solves the bordered system [[K + ridge I, 1], [1^T, 0]]
 for the weights and the multiplier on a freshly gathered copy of the
 active block, so none of this shares the blocked kernel, the in-place
 ridge or the normalised direct solve of ``capacity.equilibrium_measure``.
-The quadrature nodes are the library's own (``capacity._arc_nodes``).
+The quadrature rule is the library's own (``capacity._unit_arc_nodes``),
+laid out arc by arc here.
 """
 
 import math
@@ -29,12 +30,14 @@ def nodes(arcs) -> tuple[np.ndarray, np.ndarray]:
     arcs = geometry.merge_arcs(list(arcs))
     if not arcs:
         raise DomainError("empty arc family")
-    parts = [
-        (np.array([a.center_angle]), np.array([2.0 * a.half_width]))
-        if a.length < 1e-12
-        else capacity._arc_nodes(a)
-        for a in arcs
-    ]
+    t, cells = capacity._unit_arc_nodes()
+    parts = []
+    for a in arcs:
+        span = 2.0 * a.half_width
+        if a.length < 1e-12:
+            parts.append((np.array([a.center_angle]), np.array([span])))
+        else:
+            parts.append((a.start + t * span, cells * span))
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 

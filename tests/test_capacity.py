@@ -124,9 +124,10 @@ class TestArcNodes:
         bounds = np.concatenate(([0.0], 0.5 * (fresh[1:] + fresh[:-1]), [1.0]))
         arc = Arc(2.5, 0.03)
         span = 2.0 * arc.half_width
-        nodes, widths = capacity._arc_nodes(arc)
+        nodes, widths, start = capacity._nodes(geometry.ArcGroups.from_lists([[arc]]))
         assert np.array_equal(nodes, arc.start + fresh * span)
         assert np.array_equal(widths, np.diff(bounds) * span)
+        assert start.tolist() == [0, n]
 
 
 class TestLogCapacity:

@@ -441,3 +441,83 @@ class TestArcSweepMatchesOracle:
             (a, b) for a in range(len(arcs)) for b in range(a + 1, len(arcs)) if geometry_oracle.arcs_meet(arcs[a], arcs[b])
         ]
         assert list(zip(i.tolist(), j.tolist())) == pairs
+
+
+class TestWrapAngles:
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-1e-20)  # within half an ulp of a turn below 0
+    @example(-1e-300)
+    @example(-math.ulp(geometry.TWO_PI) / 2.0)
+    @example(-geometry.TWO_PI)
+    @example(geometry.TWO_PI)
+    def test_scalar_and_array_wraps_in_range(self, t):
+        wrapped = geometry._wrap_angle(t)
+        assert 0.0 <= wrapped < geometry.TWO_PI
+        assert repr(geometry._wrap_angles(np.array([t]))[0].item()) == repr(wrapped)
+
+    def test_tiny_negative_angle_is_zero(self):
+        assert DiscPoint(-1e-20, 0.01).theta == 0.0
+        assert Arc(-1e-20, 0.1).center_angle == 0.0
+        assert geometry._wrap_angles(np.array([-1e-20, -1e-300, 1.0])).tolist() == [0.0, 0.0, 1.0]
+
+
+arcs_with_sub_resolution = st.lists(
+    st.builds(Arc, angles(), st.one_of(arc_lengths(1e-12, 0.5), arc_lengths(1e-20, 1e-12), st.just(1.0))), max_size=8
+)
+# three arcs end to end whose first hull meets the third only on a second pass
+_chain = [Arc(2.488488698722675, 0.00034942282565699894), Arc(2.4672892047721167, 0.006398585680899214),
+          Arc(2.3585455435422276, 0.028215596748395452)]
+
+
+def as_pairs(arcs):
+    return [(a.center_angle, a.length) for a in arcs]
+
+
+class TestGroupedMerge:
+    @given(st.lists(arcs_with_sub_resolution, max_size=6))
+    @example([[_a], [], [_a, _b, touching(_b, 0.2), touching(_a, 0.01, -1.0)], [Arc(0.3, 0.01), Arc(2.0, 1.0)]])
+    @example([_chain, [_e, _tiny, Arc(_e.start + 1e-15, 1e-20)], [_f, _g, _h], [Arc(1.0, 1e-15)]])
+    @example([[Arc(0.0, 0.4), Arc(2.0, 0.4), Arc(4.0, 0.4)], _chain, [_c, _d, Arc(4.0, 0.01)]])
+    def test_groups_merge_as_alone_and_as_the_oracle(self, groups):
+        merged = geometry.merge_arc_groups(geometry.ArcGroups.from_lists(groups))
+        assert len(merged) == len(groups)
+        for g, arcs in enumerate(groups):
+            got = merged.arcs(g)
+            # a group among others merges bit for bit as it does alone
+            assert repr(as_pairs(got)) == repr(as_pairs(geometry.merge_arcs(arcs)))
+            expected = sequence_oracle.merge_arcs(arcs)
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                assert abs(geometry._signed_angle(a.center_angle - b.center_angle)) <= 1e-12
+                assert a.length == pytest.approx(b.length, rel=1e-12, abs=1e-12)
+
+    @given(st.lists(arcs_with_sub_resolution, max_size=6))
+    @example([[_a, _b, touching(_b, 0.2)], [_c, _d], _chain, []])
+    def test_group_pairs_are_each_groups_own(self, groups):
+        # each group's pairs are those intersecting_arc_pairs confirms on the group alone
+        flat = geometry.ArcGroups.from_lists(groups)
+        group = np.repeat(np.arange(len(groups)), np.diff(flat.start))
+        lo, hi = geometry._meeting_pairs(flat.center, np.pi * flat.length, group)
+        want = []
+        for g, arcs in enumerate(groups):
+            i, j = geometry.intersecting_arc_pairs(
+                np.array([a.center_angle for a in arcs]), np.array([a.half_width for a in arcs])
+            )
+            want += list(zip((i + flat.start[g]).tolist(), (j + flat.start[g]).tolist()))
+        assert list(zip(lo.tolist(), hi.tolist())) == want
+
+    def test_components_of_a_star_and_a_pair(self):
+        # node 2 meets 0 and 1, which meet nothing else: one hooking round leaves 1 apart
+        label = geometry._components(6, np.array([0, 1, 3]), np.array([2, 2, 4]))
+        assert label.tolist() == [0, 0, 0, 3, 3, 5]
+
+    def test_fixpoint_pass_merges_the_chain(self):
+        assert len(geometry.merge_arcs(_chain)) == 1
+        assert len(sequence_oracle.merge_arcs(_chain)) == 1
+
+    @given(arcs_with_sub_resolution)
+    @example(_chain)
+    @example([_f, _g, _h])
+    def test_merge_is_idempotent(self, arcs):
+        once = geometry.merge_arcs(arcs)
+        assert repr(as_pairs(geometry.merge_arcs(once))) == repr(as_pairs(once))

@@ -10,7 +10,7 @@ import geometry_oracle
 import sequence_oracle
 from conftest import angles, arc_lengths, disc_points
 from disclab import capacity, cli, geometry, sequences
-from disclab.errors import DisclabError, DomainError, InputError
+from disclab.errors import DisclabError, DomainError, InputError, NumericalError
 from disclab.geometry import Arc, CarlesonBox, DiscPoint
 from disclab.sequences import Sequence
 
@@ -205,6 +205,14 @@ class TestCarleson:
             mass = sum((1.0 / d for d, hit in zip(seq.norms, hits) if hit), 0.0)
             assert repr(rec["lhs"]) == repr(mass)
 
+    @given(carleson_cases())
+    def test_capacities_are_each_familys_own(self, case):
+        # each family is merged once; merge_arcs is idempotent, so log_capacity,
+        # which merges the family itself, gives the same bits
+        points, families = case
+        report = sequences.check_carleson(Sequence(tuple(points)), families)
+        assert [repr(rec["rhs"]) for rec in report.records] == [repr(capacity.log_capacity(f)) for f in families]
+
     def test_dyadic_sweep_finite(self):
         seq = Sequence(tuple(DiscPoint(0.0, 2.0**-n) for n in range(2, 10)))
         families = [[Arc(0.0, 2.0**-k)] for k in range(1, 8)]
@@ -330,6 +338,114 @@ class TestArrayLayerMatchesOracle:
                 i = rec["index"]
                 total = sum(1.0 / seq.norms[j] for j in sequence_oracle.restricted_vicinity(seq, i, gamma))
                 assert rec["lhs"] == total
+
+
+def each_vicinity_alone(seq, gamma):
+    """check cc's report with each vicinity's capacity taken on its own: the
+    images of one Mobius call as DiscPoints, their boundary arcs and
+    log_capacity, point by point."""
+    warnings = []
+    if len({(p.theta, p.depth) for p in seq.points}) < len(seq):
+        warnings.append("sequence has coincident points; weak separation fails")
+    records = []
+    pts = seq.pointset
+    for i, d_i in enumerate(seq.norms):
+        vic = sequences.vicinity(seq, i, gamma)
+        try:
+            arcs = [geometry.boundary_arc(p) for p in pts[i].mobius(pts[vic]).points()] if vic else []
+            lhs = capacity.log_capacity(arcs)
+        except (NumericalError, DomainError) as exc:
+            warnings.append(f"capacity solver failed at index {i}: {exc}")
+            records.append({"index": i, "lhs": math.nan, "rhs": 1.0 / d_i, "ratio": math.nan})
+            continue
+        records.append({"index": i, "lhs": lhs, "rhs": 1.0 / d_i, "ratio": lhs * d_i})
+    params = {"gamma": gamma, "quad_nodes_per_arc": capacity.QUAD_NODES, "K": 64.0}
+    return sequences._finish("capacitary_condition", records, params, 64.0, warnings)
+
+
+def random_points(n, seed):
+    rng = np.random.default_rng(seed)
+    depths = np.exp(rng.uniform(math.log(1e-6), math.log(0.5), n))
+    return [DiscPoint(t, d) for t, d in zip(rng.uniform(0.0, 2.0 * math.pi, n).tolist(), depths.tolist())]
+
+
+# a coincident pair among ordinary points, whose vicinities overlap it
+_coincident = [DiscPoint(0.9, 0.1), DiscPoint(1.0, 0.01), DiscPoint(1.05, 0.02), DiscPoint(1.0, 0.01),
+               DiscPoint(4.0, 0.05), DiscPoint(1.1, 0.003)]
+# at gamma 0.01 the deep pair's expanded arcs meet, and its Mobius image depth rounds to 0
+_refused = [DiscPoint(0.0, 1e-300), DiscPoint(1e-3, 1e-300), DiscPoint(3.0, 0.2), DiscPoint(0.5, 0.05)]
+# point 0's vicinity maps its first member to the origin and its second out of the disc
+_refused_after_origin = [DiscPoint(0.0, 1e-300), DiscPoint(0.0, 1e-300), DiscPoint(1e-3, 1e-300), DiscPoint(3.0, 0.2)]
+
+
+class TestBatchedCapacitaryCondition:
+    @given(st.lists(disc_points(), min_size=2, max_size=12), st.sampled_from([0.3, 0.75, 0.9]))
+    @example(_coincident, 0.75)
+    @example(_refused, 0.01)
+    @example(_refused_after_origin, 0.01)
+    @example([DiscPoint(1.0, 1.0 - 2.0**-53), DiscPoint(4.0, 0.3), DiscPoint(2.0, 1e-4)], 0.3)  # a full circle
+    @example(random_points(60, 1), 0.75)
+    def test_records_match_each_vicinity_alone(self, points, gamma):
+        seq = Sequence(tuple(points))
+        got = outcome(sequences.check_capacitary_condition, seq, gamma)
+        want = outcome(each_vicinity_alone, Sequence(tuple(points)), gamma)
+        if isinstance(want, type):  # the origin has no vicinity
+            assert got is want
+        else:
+            assert repr(got.to_json()) == repr(want.to_json())
+
+    def test_refused_image_fails_its_point_only(self):
+        report = sequences.check_capacitary_condition(Sequence(tuple(_refused)), 0.01)
+        assert [math.isnan(r["lhs"]) for r in report.records] == [True, False, False, False]
+        assert report.warnings[0].startswith("capacity solver failed at index 0: point not in open disc: theta=")
+        # as mobius checks every image before boundary_arc sees the first, the refusal is reported
+        report = sequences.check_capacitary_condition(Sequence(tuple(_refused_after_origin)), 0.01)
+        assert report.warnings[1].startswith("capacity solver failed at index 0: point not in open disc: theta=")
+
+    def test_coincident_pair_as_the_oracle(self):
+        seq = Sequence(tuple(_coincident))
+        report = sequences.check_capacitary_condition(seq, 0.75)
+        want = sequence_oracle.capacitary_condition(seq, 0.75)
+        assert report.warnings == want.warnings
+        assert [math.isnan(r["lhs"]) for r in report.records] == [math.isnan(r["lhs"]) for r in want.records]
+        assert any(math.isnan(r["lhs"]) for r in report.records)
+        assert repr(report.records) == repr(each_vicinity_alone(seq, 0.75).records)
+
+    def test_failed_solve_fails_its_point_only(self, monkeypatch):
+        seq = Sequence(tuple(random_points(40, 2)))
+        before = sequences.check_capacitary_condition(seq, 0.75)
+        solved = [i for i in range(len(seq)) if sequences.vicinity(seq, i, 0.75)]
+        real, calls = capacity._equilibrium, []
+
+        def second_fails(angles, widths):
+            calls.append(len(angles))
+            if len(calls) == 2:
+                raise NumericalError("forced failure")
+            return real(angles, widths)
+
+        monkeypatch.setattr(capacity, "_equilibrium", second_fails)
+        after = sequences.check_capacitary_condition(Sequence(seq.points), 0.75)
+        assert after.warnings == before.warnings + (f"capacity solver failed at index {solved[1]}: forced failure",)
+        for a, b in zip(after.records, before.records):
+            if a["index"] == solved[1]:
+                assert math.isnan(a["lhs"]) and math.isnan(a["ratio"])
+            else:
+                assert repr(a) == repr(b)
+
+    def test_a_tiny_negative_angle_is_the_zero_angle(self):
+        tiny = sequences.check_capacitary_condition(
+            Sequence((DiscPoint(0.0, 0.01), DiscPoint(-1e-20, 0.01), DiscPoint(3.0, 0.2))), 0.75
+        )
+        zero = sequences.check_capacitary_condition(
+            Sequence((DiscPoint(0.0, 0.01), DiscPoint(0.0, 0.01), DiscPoint(3.0, 0.2))), 0.75
+        )
+        assert repr(tiny.to_json()) == repr(zero.to_json())
+        assert math.isnan(tiny.records[0]["lhs"]) and len(tiny.warnings) == 2
+
+    def test_origin_in_the_sequence_raises(self):
+        seq = Sequence((DiscPoint(1.0, 0.1), geometry.ORIGIN, DiscPoint(1.0, 0.01)))
+        with pytest.raises(DomainError, match="expanded box undefined at the origin"):
+            sequences.check_capacitary_condition(seq, 0.75)
 
 
 @pytest.fixture(scope="module")
