@@ -159,16 +159,18 @@ def _nodes(arcs: geometry.ArcGroups) -> tuple[np.ndarray, np.ndarray, np.ndarray
     t, cells = _unit_arc_nodes()
     half = math.pi * arcs.length
     span = 2.0 * half
+    angles = (arcs.center - half)[:, None] + t * span[:, None]
+    widths = cells * span[:, None]
     tiny = arcs.length < 1e-12
+    if not tiny.any():
+        return angles.ravel(), widths.ravel(), QUAD_NODES * arcs.start
+    # a tiny arc keeps its first node, at its center and as wide as it
+    angles[tiny, 0] = arcs.center[tiny]
+    widths[tiny, 0] = span[tiny]
+    kept = np.ones(angles.shape, dtype=bool)
+    kept[tiny, 1:] = False
     first = np.cumsum(np.concatenate([[0], np.where(tiny, 1, QUAD_NODES)]))
-    angles, widths = np.empty(first[-1]), np.empty(first[-1])
-    wide = ~tiny
-    at = first[:-1][wide, None] + np.arange(QUAD_NODES)
-    angles[at] = (arcs.center - half)[wide, None] + t * span[wide, None]
-    widths[at] = cells * span[wide, None]
-    angles[first[:-1][tiny]] = arcs.center[tiny]
-    widths[first[:-1][tiny]] = span[tiny]
-    return angles, widths, first[arcs.start]
+    return angles[kept], widths[kept], first[arcs.start]
 
 
 def _energy_matrix(angles: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -241,9 +243,10 @@ def equilibrium_measures(families: geometry.ArcGroups) -> list:
     w^T K w is summed from the lower triangle and the saved diagonal.
     """
     angles, widths, start = _nodes(families)
+    start = start.tolist()
     out = []
     with _blas.single_thread():
-        for a, b in zip(start[:-1].tolist(), start[1:].tolist()):
+        for a, b in zip(start, start[1:]):
             if a == b:
                 out.append(DomainError("empty arc family"))
                 continue
@@ -305,10 +308,10 @@ def log_capacities(families: geometry.ArcGroups) -> list:
     A group whose solve failed gets its NumericalError in place of the
     value (see equilibrium_measures).
     """
-    sizes = np.diff(families.start).tolist()
+    start = families.start.tolist()
     return [
-        0.0 if not size else mu if isinstance(mu, Exception) else _calibrated(mu.energy)
-        for size, mu in zip(sizes, equilibrium_measures(families))
+        0.0 if a == b else mu if isinstance(mu, Exception) else _calibrated(mu.energy)
+        for a, b, mu in zip(start, start[1:], equilibrium_measures(families))
     ]
 
 

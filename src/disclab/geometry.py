@@ -11,11 +11,12 @@ formulas route through a cancellation-free evaluation of 1 - w*conj(z).
 PointSet holds points as arrays and is the one implementation of the
 pairwise formulas, a single pair included.  Box containment has one
 elementwise test, boxes_contain, and arc meeting one sweep, which runs
-over many groups of arcs at once.  ArcGroups holds such groups as
-arrays, and merge_arc_groups merges them all in one array pass: the
-components of each group's meeting pairs are found by label hooking
-with no loop over pairs, and each is hulled at the one gap its union
-leaves.  merge_arcs is that merge on one list of arcs.
+over many groups of arcs at once and confirms its pairs chunk by chunk.
+ArcGroups holds such groups as arrays, and merge_arc_groups merges them
+all in one array pass: the components of each group's meeting pairs are
+found by label hooking with no loop over pairs, and each is hulled at
+the one gap its union leaves.  merge_arcs is that merge on one list of
+arcs.
 point_from_json and arc_from_json parse the input forms of points and
 arcs; of the point forms only {"theta", "depth"} is exact for deep points.
 number_from_json reads every number of those forms and of the condenser
@@ -41,6 +42,11 @@ _KERNEL_SERIES_CUTOFF = 1e-4
 # Angular slack of the arc sweeps: far above the rounding of angle sums
 # below 6*pi (~1e-15), so no pair the exact test accepts is missed.
 _SWEEP_SLACK = 1e-12
+
+# Proposed arc pairs confirmed at a time: a union of overlapping arcs
+# proposes every pair of its members, so the sweep works in chunks of
+# about this many to keep its temporaries to a few MB.
+_PAIR_CHUNK = 1 << 16
 
 
 def _wrap_angle(t: float) -> float:
@@ -379,27 +385,31 @@ def merge_arc_groups(groups: ArcGroups) -> ArcGroups:
     union is one arc within 1e-12 of the circle is the full circle.
     """
     n = len(groups)
-    count = np.diff(groups.start)
-    group = np.repeat(np.arange(n), count)
-    center, length = groups.center, groups.length
+    center, length, start = groups.center, groups.length, groups.start
+    count = start[1:] - start[:-1]
     # a pass leaves a single arc as it is, or makes it the full circle as the end does
     todo = count > 1
     while todo.any():
+        group = np.repeat(np.arange(n), count)
         picked = todo[group]
-        merged = _merge_pass(center[picked], length[picked], group[picked], n)
+        if picked.all():
+            merged = _merge_pass(center, length, group, n)
+            center, length = merged[:2]
+        else:
+            merged = _merge_pass(center[picked], length[picked], group[picked], n)
+            # each group's arcs stay together and in their order
+            order = np.argsort(np.concatenate([group[~picked], merged[2]]), kind="stable")
+            center, length = (np.concatenate([a[~picked], b])[order] for a, b in zip((center, length), merged))
+        if len(center) == len(group):
+            break  # the pass merged nothing
         merged_count = np.bincount(merged[2], minlength=n)
         count, todo = np.where(todo, merged_count, count), todo & (merged_count < count) & (merged_count > 1)
-        if picked.all():
-            center, length, group = merged
-            continue
-        # each group's arcs stay together and in their order
-        order = np.argsort(np.concatenate([group[~picked], merged[2]]), kind="stable")
-        center, length, group = (np.concatenate([a[~picked], b])[order] for a, b in zip((center, length, group), merged))
-    start = np.cumsum(np.concatenate([[0], count]))
-    single = start[:-1][count == 1]
-    circle = single[length[single] >= 1.0 - 1e-12]
-    center, length = center.copy(), length.copy()
-    center[circle], length[circle] = 0.0, 1.0
+        start = np.cumsum(np.concatenate([[0], count]))
+    near = np.flatnonzero(length >= 1.0 - 1e-12)
+    if len(near):
+        circle = near[count[np.searchsorted(start, near, side="right") - 1] == 1]
+        center, length = center.copy(), length.copy()
+        center[circle], length[circle] = 0.0, 1.0
     return ArcGroups(center, length, start)
 
 
@@ -408,22 +418,26 @@ def intersecting_arc_pairs(center: np.ndarray, half_width: np.ndarray) -> tuple[
 
     center and half_width are as Arc stores them; see _meeting_pairs.
     """
-    return _meeting_pairs(center, half_width, np.zeros(len(center), dtype=np.int64))
+    k = len(center)
+    chunks = _meeting_pairs(center, half_width, np.zeros(k, dtype=np.int64))
+    pairs = [np.minimum(i, j) * k + np.maximum(i, j) for i, j in chunks]
+    return np.divmod(np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *pairs])), max(k, 1))
 
 
-def _meeting_pairs(center: np.ndarray, half_width: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs i < j of the arcs of one group that meet, in ascending order.
+def _meeting_pairs(center: np.ndarray, half_width: np.ndarray, group: np.ndarray):
+    """The pairs of arcs of one group that meet, as index arrays (i, j), chunk by chunk.
 
     group holds each arc's group and does not decrease.  A sort-and-sweep
     over the arc extents on the line proposes the pairs of a group whose
     extents overlap, in O(k log k + proposals); each is confirmed with the
     float test of the scalar reference arcs_meet in
     tests/geometry_oracle.py, so the pairs are those that testing all
-    pairs of each group gives.
+    pairs of each group gives.  A chunk confirms about _PAIR_CHUNK
+    proposals, and a pair can come twice, once on each turn.
     """
     k = len(center)
     if k < 2:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return
     # each arc's extent at its center in [0, 2*pi), and once more a turn up
     # when that copy can reach another arc, so every pair that meets on the
     # circle overlaps as a pair of extents
@@ -440,15 +454,19 @@ def _meeting_pairs(center: np.ndarray, half_width: np.ndarray, group: np.ndarray
     key, end, arc = key[order], end[order], arc[order]
     # extent t overlaps the later extents t+1 .. stop[t]-1, which start before it ends
     stop = np.searchsorted(key, key.real + 1j * (end + _SWEEP_SLACK), side="right")
-    first = np.arange(1, len(key) + 1)
-    count = np.maximum(stop - first, 0)
-    a = np.repeat(np.arange(len(key)), count)
-    b = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)
-    i, j = arc[a], arc[b]
-    keep = i != j
-    lo, hi = np.divmod(np.unique(np.minimum(i, j)[keep] * k + np.maximum(i, j)[keep]), k)
-    hit = np.abs(_signed_angles(center[hi] - center[lo])) <= half_width[lo] + half_width[hi]
-    return lo[hit], hi[hit]
+    count = np.maximum(stop - np.arange(1, len(key) + 1), 0)
+    total = np.cumsum(count)
+    cuts = np.searchsorted(total, np.arange(_PAIR_CHUNK, total[-1], _PAIR_CHUNK)).tolist()
+    for t0, t1 in zip([0, *cuts], [*cuts, len(key)]):
+        c = count[t0:t1]
+        a = np.repeat(np.arange(t0, t1), c)
+        b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(c) - c, c)
+        i, j = arc[a], arc[b]
+        keep = i != j
+        i, j = i[keep], j[keep]
+        # the test is symmetric in i and j: negating a difference is exact, and so is swapping a sum
+        hit = np.abs(_signed_angles(center[j] - center[i])) <= half_width[i] + half_width[j]
+        yield i[hit], j[hit]
 
 
 def _merge_pass(
@@ -465,35 +483,42 @@ def _merge_pass(
     """
     k = len(center)
     half = np.pi * length
-    root = _components(k, *_meeting_pairs(center, half, group))
+    root = np.arange(k)
+    for i, j in _meeting_pairs(center, half, group):
+        root = _join(root, i, j)
     out = np.flatnonzero(root == np.arange(k))
-    out_center, out_length = center[out], length[out]
-    full = np.zeros(n_groups, dtype=bool)
-    full[group[length >= 1.0]] = True
-    hulled, hull_center, hull_length, circle = _hulls(center, half, root)
-    at = np.searchsorted(out, hulled)
-    out_center[at], out_length[at] = hull_center, hull_length
-    full[group[hulled[circle]]] = True
-    out_group = group[out]
-    kept = ~full[out_group]
-    circles = np.flatnonzero(full)
-    center = np.concatenate([out_center[kept], np.zeros(len(circles))])
-    length = np.concatenate([out_length[kept], np.ones(len(circles))])
-    group = np.concatenate([out_group[kept], circles])
+    out_center, out_length, out_group = center[out], length[out], group[out]
+    # the arcs that make their group the full circle: full arcs, and the first members of gapless hulls
+    full = length >= 1.0
+    if len(out) < k:
+        hulled, hull_center, hull_length, circle = _hulls(center, half, root)
+        at = np.searchsorted(out, hulled)
+        out_center[at], out_length[at] = hull_center, hull_length
+        full[hulled[circle]] = True
+    if full.any():
+        whole = np.zeros(n_groups, dtype=bool)
+        whole[group[full]] = True
+        kept = ~whole[out_group]
+        circles = np.flatnonzero(whole)
+        out_center = np.concatenate([out_center[kept], np.zeros(len(circles))])
+        out_length = np.concatenate([out_length[kept], np.ones(len(circles))])
+        out_group = np.concatenate([out_group[kept], circles])
     # lexsort is stable, and the arcs come in order of their components' first members
-    order = np.lexsort((center, group))
-    return center[order], length[order], group[order]
+    order = np.lexsort((out_center, out_group))
+    return out_center[order], out_length[order], out_group[order]
 
 
-def _components(k: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Each of k nodes' smallest fellow in the graph with edges (lo, hi).
+def _join(label: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The labels once the edges (lo, hi) join their nodes: each node's smallest fellow.
 
-    Every label points to a smaller node of its component.  Each round
-    hooks the larger label of every edge whose ends disagree onto the
-    smaller one and then follows the labels to their roots, until every
-    edge agrees; the one root left in a component is its smallest node.
+    label gives each node the smallest node of its component so far, as
+    np.arange does before any edge.  Every label points to a smaller node
+    of its component.  Each round hooks the larger label of every edge
+    whose ends disagree onto the smaller one and then follows the labels
+    to their roots, until every edge agrees; the one root left in a
+    component is its smallest node.  Edges joined in an earlier call
+    still agree, as hooking moves only roots and both ends follow theirs.
     """
-    label = np.arange(k)
     while True:
         a, b = label[lo], label[hi]
         apart = a != b
@@ -537,16 +562,18 @@ def _hulls(
     s, e = np.where(back, s - TWO_PI, s), np.where(back, e - TWO_PI, e)
     order = np.lexsort((e, s, ref))
     s, e, ref = s[order], e[order], ref[order]
-    head = np.flatnonzero(np.diff(ref, prepend=-1))
-    part = np.cumsum(np.diff(ref, prepend=-1) != 0) - 1
-    before = np.roll(e, 1)
+    new = np.concatenate([[True], ref[1:] != ref[:-1]])
+    head = np.flatnonzero(new)
+    part = np.cumsum(new) - 1
+    before = np.concatenate([[0.0], e[:-1]])
     before[head] = np.maximum.reduceat(e, head) - TWO_PI
     gap = s - _running_max(before, part)
     widest = np.maximum.reduceat(gap, head)
     # the first start after the widest gap, as the scalar sweep takes it
     at = np.flatnonzero(gap == widest[part])
     cut = s[at[np.flatnonzero(np.diff(part[at], prepend=-1))]]
-    s, e = np.where(s < cut[part], s + TWO_PI, s), np.where(s < cut[part], e + TWO_PI, e)
+    up = s < cut[part]
+    s, e = np.where(up, s + TWO_PI, s), np.where(up, e + TWO_PI, e)
     lo, hi = np.minimum.reduceat(s, head), np.maximum.reduceat(e, head)
     roots = ref[head]
     circle = (widest <= 0.0) | (hi - lo >= TWO_PI)

@@ -271,7 +271,7 @@ def check_capacitary_condition(
     if (pts.depth == 1.0).any():
         raise DomainError("expanded box undefined at the origin")
     n = len(seq)
-    owner = np.repeat(np.arange(n), np.diff(lists.start))
+    owner = np.repeat(np.arange(n), lists.start[1:] - lists.start[:-1])
     images = pts[owner]._mobius(pts[lists.members])
     # each point's first refused image, as mobius reports it; else its first image at the origin
     failed = {}
@@ -279,12 +279,15 @@ def check_capacitary_condition(
         failed.setdefault(int(owner[k]), geometry._outside_disc(images.theta[k], images.depth[k]))
     for k in np.flatnonzero(images.depth == 1.0).tolist():
         failed.setdefault(int(owner[k]), geometry._origin_arc())
-    # a point that failed keeps no arcs; the image arcs are (theta, depth), as boundary_arc makes them
-    kept = np.ones(n, dtype=bool)
-    kept[list(failed)] = False
-    kept = kept[owner]
-    start = np.concatenate([[0], np.cumsum(np.bincount(owner[kept], minlength=n))])
-    arcs = geometry.ArcGroups(images.theta[kept], images.depth[kept], start)
+    # the image arcs are (theta, depth), as boundary_arc makes them; a point that failed keeps none
+    theta, depth, start = images.theta, images.depth, lists.start
+    if failed:
+        kept = np.ones(n, dtype=bool)
+        kept[list(failed)] = False
+        kept = kept[owner]
+        theta, depth = theta[kept], depth[kept]
+        start = np.concatenate([[0], np.cumsum(np.bincount(owner[kept], minlength=n))])
+    arcs = geometry.ArcGroups(theta, depth, start)
     records = []
     for i, (d_i, lhs) in enumerate(zip(seq.norms, capacity.log_capacities(geometry.merge_arc_groups(arcs)))):
         exc = failed.get(i, lhs if isinstance(lhs, Exception) else None)

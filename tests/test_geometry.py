@@ -478,6 +478,7 @@ class TestGroupedMerge:
     @example([[_a], [], [_a, _b, touching(_b, 0.2), touching(_a, 0.01, -1.0)], [Arc(0.3, 0.01), Arc(2.0, 1.0)]])
     @example([_chain, [_e, _tiny, Arc(_e.start + 1e-15, 1e-20)], [_f, _g, _h], [Arc(1.0, 1e-15)]])
     @example([[Arc(0.0, 0.4), Arc(2.0, 0.4), Arc(4.0, 0.4)], _chain, [_c, _d, Arc(4.0, 0.01)]])
+    @example([[_a], [Arc(2.0, 1.0 - 1e-13)], [_b]])  # a single arc within 1e-12 of the circle is the circle
     def test_groups_merge_as_alone_and_as_the_oracle(self, groups):
         merged = geometry.merge_arc_groups(geometry.ArcGroups.from_lists(groups))
         assert len(merged) == len(groups)
@@ -497,19 +498,40 @@ class TestGroupedMerge:
         # each group's pairs are those intersecting_arc_pairs confirms on the group alone
         flat = geometry.ArcGroups.from_lists(groups)
         group = np.repeat(np.arange(len(groups)), np.diff(flat.start))
-        lo, hi = geometry._meeting_pairs(flat.center, np.pi * flat.length, group)
+        got = sorted({(min(i, j), max(i, j)) for chunk in geometry._meeting_pairs(
+            flat.center, np.pi * flat.length, group) for i, j in zip(*(c.tolist() for c in chunk))})
         want = []
         for g, arcs in enumerate(groups):
             i, j = geometry.intersecting_arc_pairs(
                 np.array([a.center_angle for a in arcs]), np.array([a.half_width for a in arcs])
             )
             want += list(zip((i + flat.start[g]).tolist(), (j + flat.start[g]).tolist()))
-        assert list(zip(lo.tolist(), hi.tolist())) == want
+        assert got == want
 
     def test_components_of_a_star_and_a_pair(self):
         # node 2 meets 0 and 1, which meet nothing else: one hooking round leaves 1 apart
-        label = geometry._components(6, np.array([0, 1, 3]), np.array([2, 2, 4]))
+        label = geometry._join(np.arange(6), np.array([0, 1, 3]), np.array([2, 2, 4]))
         assert label.tolist() == [0, 0, 0, 3, 3, 5]
+        # the same edges joined in two calls, the second hooking a root the first made
+        label = geometry._join(np.arange(6), np.array([1, 4]), np.array([2, 3]))
+        assert geometry._join(label, np.array([2, 0]), np.array([0, 2])).tolist() == [0, 0, 0, 3, 3, 5]
+
+    @given(st.lists(arcs_with_sub_resolution, max_size=6), st.integers(1, 5))
+    @example([[_a, _b, touching(_b, 0.2), touching(_a, 0.01, -1.0)], _chain, [Arc(0.0, 0.4), Arc(2.0, 0.4)]], 1)
+    def test_chunked_sweep_merges_as_one_chunk(self, groups, chunk):
+        # a union of overlapping arcs proposes every pair of its members; in chunks of a
+        # few proposals the pairs, the components and the merge are those of one chunk
+        flat = geometry.ArcGroups.from_lists(groups)
+        whole = geometry.merge_arc_groups(flat)
+        pairs = [geometry.intersecting_arc_pairs(flat.center, np.pi * flat.length)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "_PAIR_CHUNK", chunk)
+            chunked = geometry.merge_arc_groups(flat)
+            pairs.append(geometry.intersecting_arc_pairs(flat.center, np.pi * flat.length))
+        assert [repr(as_pairs(chunked.arcs(g))) for g in range(len(groups))] == [
+            repr(as_pairs(whole.arcs(g))) for g in range(len(groups))
+        ]
+        assert [p.tolist() for p in pairs[0]] == [p.tolist() for p in pairs[1]]
 
     def test_fixpoint_pass_merges_the_chain(self):
         assert len(geometry.merge_arcs(_chain)) == 1
